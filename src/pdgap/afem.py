@@ -376,14 +376,20 @@ def afem_run(problem: AfemProblem, cfg: AfemConfig,
                 break
             # minimality: dropping the smallest marked indicator must break
             # the bulk inequality (holds by construction of the greedy prefix)
-            total = float(np.sum(mark_values))
+            bulk = cfg.theta ** 2 * float(np.sum(mark_values))
             in_set = float(np.sum(mark_values[marked]))
-            assert in_set >= cfg.theta ** 2 * total
-            assert (in_set - float(np.min(mark_values[marked]))
-                    < cfg.theta ** 2 * total) or marked.size == 1
+            if in_set < bulk:
+                raise RuntimeError(
+                    f"marked set at iteration {k} misses the bulk criterion")
+            if (in_set - float(np.min(mark_values[marked])) >= bulk
+                    and marked.size > 1):
+                raise RuntimeError(
+                    f"marked set at iteration {k} is not minimal")
 
         refined = refine(mesh, marked, interior_node=cfg.interior_node)
-        assert refined.num_vertices > mesh.num_vertices
+        if refined.num_vertices <= mesh.num_vertices:
+            raise RuntimeError(
+                f"refinement at iteration {k} added no vertices")
         previous = u_cr
         mesh = refined
 

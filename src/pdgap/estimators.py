@@ -26,7 +26,7 @@ from .energy_models import fmap
 from .fespaces import CrFunction, P1Function, PwConstant, Rt0Field
 from .quadrature import RULE_ORDER4, TriangleRule, integrate
 
-__all__ = ["EstimatorBreakdown", "ErrorMetrics", "AitkenResult",
+__all__ = ["EstimatorBreakdown", "AitkenResult",
            "primal_energy", "dual_energy", "eta_sq", "eta_hat_sq",
            "eta_res_sq", "oscillation", "rho_F_sq", "rho_I_sq",
            "aitken_extrapolate", "refined_gap_bounds"]
@@ -76,19 +76,6 @@ class EstimatorBreakdown:
         # element totals double-charge interior sides; the global value
         # counts every side once
         return float(np.sum(self.eta_E_sq) + np.sum(self.eta_J_sq))
-
-
-@dataclass
-class ErrorMetrics:
-    """Error measures attached to one adaptive iteration."""
-
-    rho_sq: float          # F-metric error (exact solution known) or
-    #                        energy distance to a reference value; the
-    #                        constant-free bound is on the energy distance
-    primal: float          # I(candidate)
-    dual: float            # D(dual field), a guaranteed lower bound
-    gap: float             # primal - dual >= 0 up to tolerance
-    rho_is_energy_distance: bool = False
 
 
 class AitkenResult(NamedTuple):

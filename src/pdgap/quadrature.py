@@ -44,7 +44,10 @@ class TriangleRule:
         -------
         (..., nq, 2) array of quadrature point coordinates.
         """
-        return np.einsum("qi,...id->...qd", self.barycentric, vertices)
+        lam = self.barycentric[:, :, None]
+        v = vertices[..., None, :, :]
+        return (lam[:, 0] * v[..., 0, :] + lam[:, 1] * v[..., 1, :]
+                + lam[:, 2] * v[..., 2, :])
 
 
 def _orbit3(repeated: float) -> list[tuple[float, float, float]]:

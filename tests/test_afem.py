@@ -176,6 +176,13 @@ def test_solver_failure_flags_partial_trace():
     assert len(trace.records) == 0
 
 
+def test_refinement_without_new_vertices_raises(monkeypatch):
+    # an explicit error, not an assert, so that it survives python -O
+    monkeypatch.setattr("pdgap.afem.refine", lambda mesh, marked, **kw: mesh)
+    with pytest.raises(RuntimeError, match="added no vertices"):
+        afem_run(_lshape_problem(), AfemConfig(max_iterations=3))
+
+
 def test_residual_marking_runs():
     cfg = AfemConfig(max_iterations=3, mark_with="residual")
     trace = afem_run(_lshape_problem(), cfg)

@@ -11,6 +11,7 @@ from itertools import product
 
 import numpy as np
 
+from pdgap.mesh import make_lshape_mesh, uniform_refine
 from pdgap.quadrature import RULE_ORDER4, RULE_ORDER8, integrate
 
 
@@ -88,3 +89,12 @@ def test_rules_agree_on_low_degree_polynomial():
     a = integrate(RULE_ORDER4, np.array([area]), poly(RULE_ORDER4.points(verts)))
     b = integrate(RULE_ORDER8, np.array([area]), poly(RULE_ORDER8.points(verts)))
     assert np.isclose(a[0], b[0], rtol=0, atol=1e-14)
+
+
+def test_points_bit_identical_to_einsum_mapping():
+    coords = uniform_refine(make_lshape_mesh(), 2).triangle_coords
+    rng = np.random.default_rng(8)
+    for verts in (coords, rng.uniform(-1, 1, size=(4, 5, 3, 2)), coords[0]):
+        for rule in (RULE_ORDER4, RULE_ORDER8):
+            ref = np.einsum("qi,...id->...qd", rule.barycentric, verts)
+            assert np.array_equal(rule.points(verts), ref)

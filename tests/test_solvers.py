@@ -5,10 +5,12 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+import pdgap.solvers as solvers
 from pdgap.energy_models import OptimalDesignDensity, PPowerDensity
 from pdgap.fespaces import PwConstant
-from pdgap.mesh import Triangulation, make_lshape_mesh, uniform_refine
+from pdgap.mesh import Triangulation, make_lshape_mesh, refine, uniform_refine
 from pdgap.quadrature import RULE_ORDER4, integrate
 from pdgap.solvers import (DiscreteProblem, gradient_flow_solve, linear_solve,
                            newton_solve, solve_problem)
@@ -57,9 +59,91 @@ def test_linear_solve_rejects_singular():
             linear_solve(A, np.array([1.0, 0.0]))
 
 
+def test_spd_factor_has_less_fill_than_default_ordering():
+    # CR Hessian at a random state, 9k free unknowns
+    prob = _lshape_problem(p=1.2, level=3)
+    rng = np.random.default_rng(3)
+    H = prob.hessian(prob.impose_dirichlet(rng.normal(size=prob.num_dofs)))
+    b = rng.normal(size=H.shape[0])
+    lu, x = solvers._spd_factor_solve(H, b)
+    default = spla.splu(sp.csc_matrix(H))
+    fill = lu.L.nnz + lu.U.nnz
+    assert fill <= 0.6 * (default.L.nnz + default.U.nnz)
+    assert np.linalg.norm(H @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def _spsolve_reference(A, b):
+    """Direct solve through ``spsolve``'s default (COLAMD) ordering."""
+    x = spla.spsolve(sp.csr_matrix(A), b)
+    assert np.isfinite(x).all()
+    return x
+
+
+@pytest.mark.parametrize("factorization", ["symmetric", "spsolve"])
+def test_newton_p12_converges_to_tight_tolerance(monkeypatch, factorization):
+    # near the solution the energy decrease of a Newton step falls below
+    # the energy's roundoff, where only the residual can still decide
+    if factorization == "spsolve":
+        monkeypatch.setattr(solvers, "linear_solve", _spsolve_reference)
+    prob = _lshape_problem(p=1.2, level=1)
+    u0, _ = newton_solve(_lshape_problem(p=2.0, level=1), tol_abs=1e-12)
+    u, rep = newton_solve(prob, u0=u0, tol_abs=1e-9, tol_rel=0.0)
+    assert rep.converged
+    assert prob.residual_norm(u) <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # assembly: energies, gradients, Hessians
 # ---------------------------------------------------------------------------
+
+def _corner_refined_lshape():
+    mesh = make_lshape_mesh()
+    for r in range(4):
+        centroids = mesh.triangle_coords.mean(axis=1)
+        near = np.hypot(centroids[:, 0], centroids[:, 1]) < 0.5 ** r
+        mesh = refine(mesh, np.flatnonzero(near))
+    return mesh
+
+
+def _coo_reference(prob, local):
+    """Free-dof matrix by COO -> CSR conversion and slicing.
+
+    SciPy sums duplicate triplets in the order its index sort leaves them,
+    which is not stable within long rows; sorting the triplets stably by
+    (row, column) first makes the summation follow the element order.
+    """
+    rows = np.repeat(prob.dof_map, 3, axis=1).ravel()
+    cols = np.tile(prob.dof_map, (1, 3)).ravel()
+    order = np.lexsort((cols, rows))
+    A = sp.coo_matrix((local.ravel()[order], (rows[order], cols[order])),
+                      shape=(prob.num_dofs, prob.num_dofs)).tocsr()
+    free = np.flatnonzero(prob.free_mask)
+    return A[free][:, free].tocsr()
+
+
+@pytest.mark.parametrize("space", ["cr", "p1"])
+def test_assemble_free_bit_identical_to_coo_reference(space):
+    mesh = _corner_refined_lshape()
+    rng = np.random.default_rng(17)
+    num_dofs = mesh.num_sides if space == "cr" else mesh.num_vertices
+    prob = DiscreteProblem(mesh, PPowerDensity(1.4),
+                           PwConstant(mesh, np.ones(mesh.num_triangles)),
+                           space=space, dirichlet=rng.normal(size=num_dofs))
+    v = prob.impose_dirichlet(rng.normal(size=num_dofs))
+    grads = prob.broken_gradient(v)
+    hessian_local = mesh.areas[:, None, None] * np.einsum(
+        "tid,tde,tje->tij", prob.basis_grads, prob.density.d2phi(grads),
+        prob.basis_grads)
+    for local in (hessian_local, rng.normal(size=(mesh.num_triangles, 3, 3))):
+        got = prob._assemble_free(local)
+        ref = _coo_reference(prob, local)
+        assert got.shape == ref.shape == (prob.free_mask.sum(),) * 2
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.data, ref.data)
+    H = prob.hessian(v)
+    assert np.array_equal(H.data, _coo_reference(prob, hessian_local).data)
+
 
 def test_energy_of_linear_interpolant():
     # |grad v|^2/2 with v = x on a unit-area mesh and f=0 gives 1/2

@@ -7,7 +7,11 @@ boundary labels (Dirichlet or Neumann per boundary side).
 
 Conventions
 -----------
-* Sides are ordered lexicographically by their sorted vertex index pair.
+* Sides are ordered lexicographically by their sorted vertex index pair
+  ``(a, b)``, ``a < b``.  They are numbered through the int64 key
+  ``a * nv + b`` (``nv`` vertices), whose numeric order is that
+  lexicographic order; a mesh whose ``nv * nv`` does not fit in int64 is
+  rejected.
 * Every side has one or two incident triangles.  The canonical unit normal of
   an interior side points from the incident triangle with the *smaller* index
   toward the one with the larger index; boundary normals point outward.
@@ -44,6 +48,18 @@ def _side_key(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
+def _side_keys(pairs: np.ndarray, nv: int) -> np.ndarray:
+    """int64 keys ``min * nv + max`` of the (n, 2) vertex pairs ``pairs``.
+
+    Sorting the keys sorts the pairs lexicographically by their sorted
+    vertex indices; ``keys // nv, keys % nv`` decodes them.
+    """
+    if nv * nv > np.iinfo(np.int64).max:
+        raise MeshError(f"{nv} vertices: side keys overflow int64")
+    return np.minimum(pairs[:, 0], pairs[:, 1]) * nv \
+        + np.maximum(pairs[:, 0], pairs[:, 1])
+
+
 def _cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """z-component of the cross product of stacked 2D vectors."""
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
@@ -56,8 +72,9 @@ class Triangulation:
     ----------
     vertices : (nv, 2) float array of vertex coordinates.
     triangles : (nt, 3) int array of vertex indices, counterclockwise.
-    boundary_labels : mapping from sorted boundary vertex pairs to 'D'/'N',
-        or the string 'dirichlet' to label every boundary side Dirichlet.
+    boundary_labels : mapping from boundary vertex pairs to 'D'/'N' that
+        names every boundary side exactly once, in either vertex order, or
+        the string 'dirichlet' to label every boundary side Dirichlet.
     generation : optional (nt,) int array of refinement generation tags.
     fix_orientation : if True, clockwise triangles are silently flipped;
         otherwise they raise :class:`MeshError`.
@@ -112,10 +129,12 @@ class Triangulation:
         nt = len(self.triangles)
         self.barycenters = coords.mean(axis=1)
 
-        # Side structure: lexicographic unique of sorted vertex pairs.
+        # Side structure: unique keys of the sorted vertex pairs.
+        nv = len(self.vertices)
         raw = self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-        self.sides, inverse = np.unique(np.sort(raw, axis=1), axis=0,
-                                        return_inverse=True)
+        side_keys, inverse = np.unique(_side_keys(raw, nv),
+                                       return_inverse=True)
+        self.sides = np.column_stack((side_keys // nv, side_keys % nv))
         inverse = inverse.reshape(nt, 3)
         self.tri_sides = inverse
         ns = len(self.sides)
@@ -152,19 +171,32 @@ class Triangulation:
                 raise MeshError(f"unknown label shorthand {boundary_labels!r}")
             self.side_labels[boundary] = DIRICHLET
         else:
-            key_to_side = {(int(s0), int(s1)): i
-                           for i, (s0, s1) in enumerate(self.sides)}
-            for pair, lab in boundary_labels.items():
-                key = _side_key(int(pair[0]), int(pair[1]))
-                idx = key_to_side.get(key)
-                if idx is None:
+            labs = list(boundary_labels.values())
+            pairs = np.array(list(boundary_labels.keys()),
+                             dtype=np.int64).reshape(len(labs), 2)
+            codes = np.array([_LABEL_TO_CODE.get(lab, INTERIOR) for lab in labs],
+                             dtype=np.int8)
+            keys = _side_keys(pairs, nv)
+            # idx == ns past the last key; the appended entries cover it
+            idx = np.searchsorted(side_keys, keys)
+            missing = (np.append(side_keys, -1)[idx] != keys) \
+                | (pairs.min(axis=1) < 0) | (pairs.max(axis=1) >= nv)
+            interior = ~missing & ~np.append(boundary, True)[idx]
+            bad = missing | interior | (codes == INTERIOR)
+            if np.any(bad):
+                # report the first offending entry, in mapping order
+                i = int(np.argmax(bad))
+                key = _side_key(int(pairs[i, 0]), int(pairs[i, 1]))
+                if missing[i]:
                     raise MeshError(f"labeled side {key} not present in mesh")
-                if not boundary[idx]:
+                if interior[i]:
                     raise MeshError(f"label on interior side {key}")
-                code = _LABEL_TO_CODE.get(lab)
-                if code is None:
-                    raise MeshError(f"unknown boundary label {lab!r}")
-                self.side_labels[idx] = code
+                raise MeshError(f"unknown boundary label {labs[i]!r}")
+            twice = np.flatnonzero(np.bincount(idx, minlength=ns) > 1)
+            if twice.size:
+                side = tuple(self.sides[twice[0]].tolist())
+                raise MeshError(f"side {side} labeled more than once")
+            self.side_labels[idx] = codes
             unlabeled = boundary & (self.side_labels == INTERIOR)
             if np.any(unlabeled):
                 miss = self.sides[np.flatnonzero(unlabeled)[0]]

@@ -198,22 +198,29 @@ class DiscreteProblem:
             "tid,tde,tje->tij", self.basis_grads, d2, self.basis_grads)
         return self._assemble_free(local)
 
-    def weighted_stiffness(self, weights: np.ndarray) -> sp.csr_matrix:
-        """Stiffness matrix with elementwise weights, on the free unknowns."""
+    def weighted_stiffness(self, weights: np.ndarray,
+                           shift: np.ndarray) -> sp.csr_matrix:
+        """Stiffness matrix with elementwise weights, on the free unknowns,
+        plus ``shift`` (one value per free unknown) on the diagonal.
+
+        The matrix is symmetric entry for entry, so its transpose is its CSC
+        form.
+        """
         local = (self.mesh.areas * weights)[:, None, None] * np.einsum(
             "tid,tjd->tij", self.basis_grads, self.basis_grads)
-        return self._assemble_free(local)
+        return self._assemble_free(local, shift)
 
     @cached_property
     def _free_pattern(self):
         """CSR pattern of the free-dof matrix and the slot of each entry.
 
-        Returns ``(indptr, indices, entries, slots)``: the local entries at
-        flat positions ``entries`` of the ``(nt, 3, 3)`` local matrices are
-        those coupling two free unknowns, and each is summed into
-        ``data[slots]`` of the CSR matrix with sorted column indices.  The
-        index arrays already have SciPy's index dtype, so building a matrix
-        from them converts nothing.
+        Returns ``(indptr, indices, entries, slots, diagonal)``: the local
+        entries at flat positions ``entries`` of the ``(nt, 3, 3)`` local
+        matrices are those coupling two free unknowns, and each is summed
+        into ``data[slots]`` of the CSR matrix with sorted column indices;
+        ``data[diagonal]`` is the diagonal.  The index arrays already have
+        SciPy's index dtype, so building a matrix from them converts
+        nothing.
         """
         nfree = int(self.free_mask.sum())
         number = np.full(self.num_dofs, -1)
@@ -229,12 +236,16 @@ class DiscreteProblem:
                   out=indptr[1:])
         pattern = sp.csr_matrix((np.empty(unique.size), unique % nfree,
                                  indptr), shape=(nfree, nfree))
-        return pattern.indptr, pattern.indices, entries, slots
+        diagonal = np.flatnonzero(unique // nfree == unique % nfree)
+        return pattern.indptr, pattern.indices, entries, slots, diagonal
 
-    def _assemble_free(self, local: np.ndarray) -> sp.csr_matrix:
-        indptr, indices, entries, slots = self._free_pattern
+    def _assemble_free(self, local: np.ndarray,
+                       shift: np.ndarray | None = None) -> sp.csr_matrix:
+        indptr, indices, entries, slots, diagonal = self._free_pattern
         data = np.bincount(slots, weights=local.ravel()[entries],
                            minlength=indices.size)
+        if shift is not None:
+            data[diagonal] += shift
         n = indptr.size - 1
         return sp.csr_matrix((data, indices.copy(), indptr.copy()),
                              shape=(n, n))
@@ -358,6 +369,8 @@ def gradient_flow_solve(problem: DiscreteProblem, u0=None, tau: float = 1.0,
     np.add.at(load_vec, problem.dof_map.ravel(),
               np.repeat(mesh.areas * problem.load.values / 3.0, 3))
 
+    coupling = _fixed_value_coupling(problem)
+
     energies = [problem.energy(u)]
     rate = np.inf
     steps = 0
@@ -366,11 +379,15 @@ def gradient_flow_solve(problem: DiscreteProblem, u0=None, tau: float = 1.0,
     while True:
         slopes = problem.density.slope_ratio(
             np.sqrt(np.sum(problem.broken_gradient(u) ** 2, axis=-1)))
-        K = problem.weighted_stiffness(slopes)
+        A = problem.weighted_stiffness(slopes, mass / tau)
+        # couplings across right angles vanish exactly; stored zeros would
+        # still enter the fill-reducing ordering
+        A.eliminate_zeros()
         rhs = load_vec[free] + mass * u[free] / tau
-        rhs -= _weighted_form_fixed_part(problem, slopes)
+        if coupling is not None:
+            rhs -= _weighted_form_fixed_part(problem, slopes, coupling)
         unew = u.copy()
-        unew[free] = step_solver.solve(K + sp.diags(mass / tau), rhs)
+        unew[free] = step_solver.solve(A.T, rhs)  # A is symmetric
         delta = unew - u
         rate = problem.increment_seminorm(delta) / tau
         u = unew
@@ -389,14 +406,26 @@ def gradient_flow_solve(problem: DiscreteProblem, u0=None, tau: float = 1.0,
     return u, report
 
 
-def _weighted_form_fixed_part(problem: DiscreteProblem,
-                              weights: np.ndarray) -> np.ndarray:
-    """Free-row entries of the weighted stiffness applied to the fixed values."""
+def _fixed_value_coupling(problem: DiscreteProblem) -> np.ndarray | None:
+    """(nt, 3) unweighted local stiffness applied to the fixed values.
+
+    ``None`` when every fixed value is zero, so that the coupling vanishes.
+    """
     fixed_vals = np.where(problem.fixed_mask, problem.dirichlet_values, 0.0)
+    if not np.any(fixed_vals):
+        return None
     grads = np.einsum("tj,tjd->td", fixed_vals[problem.dof_map],
                       problem.basis_grads)
-    cell = (problem.mesh.areas * weights)[:, None] * np.einsum(
-        "td,tjd->tj", grads, problem.basis_grads)
+    return np.einsum("td,tjd->tj", grads, problem.basis_grads)
+
+
+def _weighted_form_fixed_part(problem: DiscreteProblem, weights: np.ndarray,
+                              coupling: np.ndarray) -> np.ndarray:
+    """Free-row entries of the weighted stiffness applied to the fixed values.
+
+    ``coupling`` is :func:`_fixed_value_coupling` of ``problem``.
+    """
+    cell = (problem.mesh.areas * weights)[:, None] * coupling
     out = np.zeros(problem.num_dofs)
     np.add.at(out, problem.dof_map.ravel(), cell.ravel())
     return out[problem.free_mask]

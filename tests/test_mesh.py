@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pdgap.fespaces import CrFunction, prolong_cr
 from pdgap.mesh import (DIRICHLET, INTERIOR, NEUMANN, MeshError, Patch,
-                        Triangulation, load_mesh, make_lshape_mesh,
-                        make_square_mesh, patch, refine, save_mesh,
-                        uniform_refine)
+                        Triangulation, _side_keys, load_mesh,
+                        make_lshape_mesh, make_square_mesh, patch, refine,
+                        save_mesh, uniform_refine)
 
 LSHAPE_AREA = 3.0
 LSHAPE_PERIMETER = 8.0
@@ -109,6 +112,16 @@ def test_label_validation():
     with pytest.raises(MeshError, match="unknown boundary label"):
         Triangulation(verts, tris, {(0, 1): "X", (1, 2): "D", (2, 3): "D",
                                     (0, 3): "D"})
+    with pytest.raises(MeshError, match=r"\(0, 5\) not present in mesh"):
+        Triangulation(verts, tris, {(0, 1): "D", (1, 2): "D", (2, 3): "D",
+                                    (0, 3): "D", (5, 0): "D"})
+    # (0, 6) must not alias side (1, 2) through its key 0 * 4 + 6 = 1 * 4 + 2
+    with pytest.raises(MeshError, match=r"\(0, 6\) not present in mesh"):
+        Triangulation(verts, tris, {(0, 1): "D", (0, 6): "D", (2, 3): "D",
+                                    (0, 3): "D"})
+    with pytest.raises(MeshError, match=r"\(1, 2\) labeled more than once"):
+        Triangulation(verts, tris, {(0, 1): "D", (1, 2): "D", (2, 3): "D",
+                                    (0, 3): "D", (2, 1): "N"})
     mixed = Triangulation(verts, tris, {(0, 1): "D", (1, 2): "N", (2, 3): "D",
                                         (0, 3): "N"})
     assert sorted(mixed.side_labels[mixed.boundary_side_ids]) == \
@@ -254,3 +267,121 @@ def test_nonmanifold_rejected():
     tris = np.array([[0, 1, 2], [0, 3, 1], [0, 1, 4]])
     with pytest.raises(MeshError, match="non-manifold"):
         Triangulation(verts, tris)
+
+
+def test_side_keys_order_decode_and_overflow_guard():
+    nv = 2 ** 31  # keys up to 2**62 still fit in int64
+    pairs = np.array([[nv - 1, 3], [0, nv - 1], [3, nv - 2], [2, 1]])
+    keys = _side_keys(pairs, nv)
+    decoded = np.column_stack((keys // nv, keys % nv))
+    assert np.array_equal(decoded, np.sort(pairs, axis=1))
+    order = np.lexsort((decoded[:, 1], decoded[:, 0]))
+    assert np.array_equal(np.argsort(keys), order)
+    with pytest.raises(MeshError, match="overflow"):
+        _side_keys(pairs, 2 ** 32)
+
+
+# ---------------------------------------------------------------------------
+# Properties of refinement on relabelled L-shape meshes
+# ---------------------------------------------------------------------------
+
+_LSHAPE = make_lshape_mesh()
+
+
+def _reference_side_structure(triangles):
+    """Sides by ``np.unique(axis=0)`` and their triangles by a plain loop."""
+    raw = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    sides, inverse = np.unique(np.sort(raw, axis=1), axis=0,
+                               return_inverse=True)
+    tri_sides = inverse.reshape(-1, 3)
+    incident = [[] for _ in range(len(sides))]
+    for t, row in enumerate(tri_sides):
+        for s in row:
+            incident[s].append(t)
+    side_tris = np.array([ts + [-1] * (2 - len(ts)) for ts in incident])
+    return sides, tri_sides, side_tris
+
+
+def _on_lshape_boundary(points, tol=1e-12):
+    x, y = points[:, 0], points[:, 1]
+    outer = (np.abs(np.abs(x) - 1.0) <= tol) | (np.abs(np.abs(y) - 1.0) <= tol)
+    notch = ((np.abs(x) <= tol) & (y <= tol)) | ((np.abs(y) <= tol) & (x >= -tol))
+    return outer | notch
+
+
+def _containing_side(mesh, points, side_ids, tol=1e-12):
+    """For each point, the one side among ``side_ids`` whose segment holds it."""
+    a = mesh.vertices[mesh.sides[side_ids, 0]]
+    b = mesh.vertices[mesh.sides[side_ids, 1]]
+    rel = points[:, None, :] - a[None]
+    edge = (b - a)[None]
+    cross = edge[..., 0] * rel[..., 1] - edge[..., 1] * rel[..., 0]
+    along = np.einsum("psd,psd->ps", rel, edge) / np.einsum("psd,psd->ps",
+                                                             edge, edge)
+    hit = (np.abs(cross) <= tol) & (along >= -tol) & (along <= 1.0 + tol)
+    assert np.all(hit.sum(axis=1) == 1)
+    return side_ids[np.argmax(hit, axis=1)]
+
+
+@st.composite
+def _relabelled_lshapes(draw):
+    """The L-shape mesh with permuted vertex and triangle numbers (each
+    triangle keeps its counterclockwise order) and random D/N labels."""
+    order = np.array(draw(st.permutations(range(_LSHAPE.num_vertices))))
+    new_id = np.argsort(order)
+    triangles = new_id[_LSHAPE.triangles][
+        np.array(draw(st.permutations(range(_LSHAPE.num_triangles))))]
+    boundary = _LSHAPE.sides[_LSHAPE.boundary_side_ids]
+    labels = draw(st.lists(st.sampled_from("DN"), min_size=len(boundary),
+                           max_size=len(boundary)))
+    return Triangulation(_LSHAPE.vertices[order], triangles, {
+        tuple(sorted(new_id[pair].tolist())): lab
+        for pair, lab in zip(boundary, labels)})
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(mesh=_relabelled_lshapes(), data=st.data())
+def test_refine_properties_on_relabelled_lshape(mesh, data):
+    for _ in range(2):
+        marked = data.draw(st.sets(st.integers(0, mesh.num_triangles - 1),
+                                   min_size=1, max_size=12), label="marked")
+        fine = refine(mesh, sorted(marked))
+        _check_structure(fine)
+        _assert_children_inside_parents(mesh, fine)
+
+        # conforming: a side has one triangle exactly when it lies on the
+        # boundary, so no vertex hangs on an interior side
+        on_boundary = _on_lshape_boundary(fine.side_midpoints)
+        assert np.array_equal(fine.side_tris[:, 1] < 0, on_boundary)
+
+        # side numbering and adjacency as the np.unique(axis=0) reference
+        sides, tri_sides, side_tris = _reference_side_structure(fine.triangles)
+        assert np.array_equal(fine.sides, sides)
+        assert np.array_equal(fine.tri_sides, tri_sides)
+        assert np.array_equal(fine.side_tris, side_tris)
+
+        # children tile their parent
+        child_area = np.bincount(fine.parent_elements, weights=fine.areas,
+                                 minlength=mesh.num_triangles)
+        assert np.allclose(child_area, mesh.areas, rtol=1e-13, atol=0.0)
+
+        # each half of a split boundary side keeps the side's label
+        bsides = fine.boundary_side_ids
+        source = _containing_side(mesh, fine.side_midpoints[bsides],
+                                  mesh.boundary_side_ids)
+        assert np.array_equal(fine.side_labels[bsides],
+                              mesh.side_labels[source])
+
+        # prolong_cr reproduces a coarse P1 function at the fine midpoints
+        vals = np.array(data.draw(st.lists(
+            st.floats(-1.0, 1.0), min_size=mesh.num_vertices,
+            max_size=mesh.num_vertices), label="p1 values"))
+        coarse = CrFunction(mesh, vals[mesh.sides].mean(axis=1))
+        parent = fine.parent_elements[fine.side_tris[:, 0]]
+        lam = 1.0 / 3.0 + np.einsum(
+            "sjd,sd->sj", mesh.barycentric_gradients[parent],
+            fine.side_midpoints - mesh.barycenters[parent])
+        exact = np.einsum("sj,sj->s", lam, vals[mesh.triangles[parent]])
+        assert np.allclose(prolong_cr(coarse, fine).values, exact,
+                           rtol=0.0, atol=1e-13)
+        mesh = fine

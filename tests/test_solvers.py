@@ -145,6 +145,50 @@ def test_assemble_free_bit_identical_to_coo_reference(space):
     assert np.array_equal(H.data, _coo_reference(prob, hessian_local).data)
 
 
+@pytest.mark.parametrize("space", ["cr", "p1"])
+def test_flow_step_matrix_bit_identical_to_diagonal_sum(space):
+    mesh = _corner_refined_lshape()
+    rng = np.random.default_rng(23)
+    prob = DiscreteProblem(mesh, OptimalDesignDensity(),
+                           PwConstant(mesh, np.ones(mesh.num_triangles)),
+                           space=space)
+    weights = rng.uniform(0.5, 2.0, size=mesh.num_triangles)
+    shift = prob.lumped_mass()[prob.free_mask] / 0.7
+    A = prob.weighted_stiffness(weights, shift)
+    assert np.any(A.data == 0.0)  # couplings across right angles
+    A.eliminate_zeros()
+    K = prob.weighted_stiffness(weights, np.zeros_like(shift))
+    ref = sp.csc_matrix(K + sp.diags(shift))
+    step = A.T
+    assert step.format == "csc"
+    assert np.array_equal(step.indptr, ref.indptr)
+    assert np.array_equal(step.indices, ref.indices)
+    assert np.array_equal(step.data, ref.data)
+
+
+@pytest.mark.parametrize("space", ["cr", "p1"])
+def test_weighted_form_fixed_part_bit_identical_to_inline_form(space):
+    mesh = _corner_refined_lshape()
+    rng = np.random.default_rng(29)
+    num_dofs = mesh.num_sides if space == "cr" else mesh.num_vertices
+    f_h = PwConstant(mesh, np.ones(mesh.num_triangles))
+    density = OptimalDesignDensity()
+    homogeneous = DiscreteProblem(mesh, density, f_h, space=space)
+    assert solvers._fixed_value_coupling(homogeneous) is None
+    prob = DiscreteProblem(mesh, density, f_h, space=space,
+                           dirichlet=rng.normal(size=num_dofs))
+    weights = rng.uniform(0.5, 2.0, size=mesh.num_triangles)
+    fixed_vals = np.where(prob.fixed_mask, prob.dirichlet_values, 0.0)
+    grads = np.einsum("tj,tjd->td", fixed_vals[prob.dof_map], prob.basis_grads)
+    cell = (mesh.areas * weights)[:, None] * np.einsum(
+        "td,tjd->tj", grads, prob.basis_grads)
+    ref = np.zeros(num_dofs)
+    np.add.at(ref, prob.dof_map.ravel(), cell.ravel())
+    got = solvers._weighted_form_fixed_part(
+        prob, weights, solvers._fixed_value_coupling(prob))
+    assert np.array_equal(got, ref[prob.free_mask])
+
+
 def test_energy_of_linear_interpolant():
     # |grad v|^2/2 with v = x on a unit-area mesh and f=0 gives 1/2
     mesh = Triangulation(
@@ -294,6 +338,9 @@ def test_inhomogeneous_dirichlet_affine_reproduction():
         prob = DiscreteProblem(mesh, PPowerDensity(1.6), f_h, space=space,
                                dirichlet=data)
         u, rep = newton_solve(prob, tol_abs=1e-12)
+        assert rep.converged
+        assert np.max(np.abs(u - data)) <= 1e-10
+        u, rep = gradient_flow_solve(prob, eps_stop=1e-12, max_iter=4000)
         assert rep.converged
         assert np.max(np.abs(u - data)) <= 1e-10
 

@@ -132,25 +132,32 @@ class Triangulation:
         # Side structure: unique keys of the sorted vertex pairs.
         nv = len(self.vertices)
         raw = self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-        side_keys, inverse = np.unique(_side_keys(raw, nv),
-                                       return_inverse=True)
+        # One stable sort of the keys numbers the sides and, within each
+        # side, lists its local sides 3 t + j by increasing triangle t.
+        keys = _side_keys(raw, nv)
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        first = np.empty(len(keys), dtype=bool)
+        first[:1] = True
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+        side_keys = sorted_keys[first]
         self.sides = np.column_stack((side_keys // nv, side_keys % nv))
-        inverse = inverse.reshape(nt, 3)
-        self.tri_sides = inverse
         ns = len(self.sides)
+        inverse = np.empty(len(keys), dtype=np.intp)
+        inverse[order] = np.cumsum(first) - 1
+        self.tri_sides = inverse.reshape(nt, 3)
 
-        counts = np.bincount(inverse.ravel(), minlength=ns)
+        indptr = np.append(np.flatnonzero(first), len(keys))
+        counts = np.diff(indptr)
         if np.any(counts > 2):
             raise MeshError("non-manifold input: side with >2 incident triangles")
-        order = np.argsort(inverse.ravel(), kind="stable")
         owner = order // 3
-        indptr = np.concatenate(([0], np.cumsum(counts)))
         t_minus = owner[indptr[:-1]]
         t_plus = np.where(counts == 2, owner[np.minimum(indptr[:-1] + 1, len(owner) - 1)], -1)
         self.side_tris = np.column_stack((t_minus, t_plus))
 
         # Canonical normal: outward from t_minus across its directed edge.
-        loc = np.argmax(self.tri_sides[t_minus] == np.arange(ns)[:, None], axis=1)
+        loc = order[indptr[:-1]] % 3
         a = self.triangles[t_minus, loc]
         b = self.triangles[t_minus, (loc + 1) % 3]
         edge = self.vertices[b] - self.vertices[a]

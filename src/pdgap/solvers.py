@@ -17,7 +17,11 @@ vertex), with Dirichlet values eliminated.  Two solvers are provided:
 Every linear system either solver meets is symmetric positive definite.
 All of them are factorized the same way: SuperLU in symmetric mode, with a
 minimum-degree ordering of ``A + A^T`` and diagonal pivots, which gives
-far less fill than the default column ordering.  Each solve is then checked
+far less fill than the default column ordering.  It builds no relaxed
+supernodes and no panels (``relax=1, panel_size=1``): the supernodes of
+these 2-D finite-element matrices are tiny, so SciPy's defaults mostly add
+BLAS call overhead, and at the same fill a factorization takes about a
+third less time.  Every solve, direct or preconditioned CG, is then checked
 against a 1e-12 backward-error bound.
 """
 
@@ -37,25 +41,46 @@ __all__ = ["DiscreteProblem", "SolverReport", "newton_solve",
            "gradient_flow_solve", "solve_problem", "linear_solve"]
 
 
+def _check_backward_error(A: sp.spmatrix, x: np.ndarray,
+                          b: np.ndarray) -> None:
+    """Raise :class:`ArithmeticError` unless ``x`` is finite and meets
+    ``|A x - b| <= 1e-12 (1 + |b| + |A| |x|)``, with ``|A|`` the largest
+    absolute row sum.
+
+    The row sums are taken in ``A``'s own format: ``spla.norm`` would first
+    convert a CSC matrix to CSR.
+    """
+    residual = np.linalg.norm(A @ x - b)
+    scale = np.linalg.norm(b) + abs(A).sum(axis=1).max() * np.linalg.norm(x)
+    if not np.isfinite(x).all() or residual > 1e-12 * (1.0 + scale):
+        raise ArithmeticError(
+            f"linear solve failed: residual {residual:.3e} vs scale {scale:.3e}")
+
+
 def _spd_factor_solve(A: sp.spmatrix, b: np.ndarray):
     """Factorize the SPD matrix ``A`` and solve ``A x = b``.
 
+    Symmetric-mode SuperLU with a minimum-degree ordering of ``A + A^T``,
+    diagonal pivots, and neither relaxed supernodes nor panels
+    (``relax=1, panel_size=1``).  The last two leave the fill unchanged
+    and cut the factorization time by about a third: on p = 1.2 CR
+    Hessians of the uniformly refined L-shape, 28 -> 17 ms at 9k,
+    170 -> 107 ms at 37k and 0.90 -> 0.56 s at 147k unknowns (one thread,
+    median of 5).  ``relax=2`` was no faster than SciPy's default.
+
     Returns the SuperLU factor and ``x``.  Raises :class:`ArithmeticError`
     if the factorization meets an exactly zero pivot or the solution misses
-    the backward-error bound ``|A x - b| <= 1e-12 (1 + |b| + |A| |x|)``.
+    the backward-error bound of :func:`_check_backward_error`.
     """
     A = sp.csc_matrix(A)
     try:
         lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       relax=1, panel_size=1,
                        options={"SymmetricMode": True})
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise ArithmeticError(f"linear solve failed: {exc}") from exc
     x = lu.solve(b)
-    residual = np.linalg.norm(A @ x - b)
-    scale = np.linalg.norm(b) + spla.norm(A, np.inf) * np.linalg.norm(x)
-    if not np.isfinite(x).all() or residual > 1e-12 * (1.0 + scale):
-        raise ArithmeticError(
-            f"linear solve failed: residual {residual:.3e} vs scale {scale:.3e}")
+    _check_backward_error(A, x, b)
     return lu, x
 
 
@@ -78,7 +103,8 @@ class _RecycledSpdSolver:
     gradients preconditioned with the retained factorization (consecutive
     gradient-flow matrices differ only through the lagged weights), and the
     factorization is refreshed once it degrades.  Every solve meets the same
-    1e-12 backward-error contract as :func:`linear_solve`.
+    1e-12 backward-error contract as :func:`linear_solve`: a CG result whose
+    true residual misses it is replaced by a fresh factorization's solve.
     """
 
     def __init__(self, refresh_after: int = 20):
@@ -99,6 +125,10 @@ class _RecycledSpdSolver:
         x, info = spla.cg(A, b, x0=self._lu.solve(b), rtol=1e-12, atol=0.0,
                           maxiter=200, M=preconditioner, callback=_tick)
         if info != 0:
+            return self._factor_and_solve(A, b)
+        try:  # cg stops on its recursive residual, not the true one
+            _check_backward_error(A, x, b)
+        except ArithmeticError:
             return self._factor_and_solve(A, b)
         if count > self._refresh_after:
             self._lu = None

@@ -72,6 +72,36 @@ def test_spd_factor_has_less_fill_than_default_ordering():
     assert np.linalg.norm(H @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
+def test_both_solve_paths_share_one_factorization(monkeypatch):
+    # Newton (linear_solve) and the flow (_RecycledSpdSolver) factorize
+    # with the same settings; dropping SciPy's relaxed supernodes and panels
+    # changes neither the fill nor, beyond roundoff, the solution
+    prob = _lshape_problem(p=1.2, level=3)
+    rng = np.random.default_rng(3)
+    H = prob.hessian(prob.impose_dirichlet(rng.normal(size=prob.num_dofs)))
+    b = rng.normal(size=H.shape[0])
+    calls = []
+    splu = spla.splu
+
+    def spy(A, **kwargs):
+        calls.append(kwargs)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(solvers.spla, "splu", spy)
+    x = linear_solve(H, b)
+    solvers._RecycledSpdSolver().solve(H, b)
+    assert len(calls) == 2 and calls[0] == calls[1]
+    assert calls[0]["relax"] == 1 and calls[0]["panel_size"] == 1
+
+    defaults = {k: v for k, v in calls[0].items()
+                if k not in ("relax", "panel_size")}
+    lu = splu(sp.csc_matrix(H), **calls[0])
+    reference = splu(sp.csc_matrix(H), **defaults)
+    assert lu.L.nnz + lu.U.nnz == reference.L.nnz + reference.U.nnz
+    x_ref = reference.solve(b)
+    assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+
 def _spsolve_reference(A, b):
     """Direct solve through ``spsolve``'s default (COLAMD) ordering."""
     x = spla.spsolve(sp.csr_matrix(A), b)
@@ -365,6 +395,35 @@ def test_recycled_solver_tracks_drifting_systems():
         x = solver.solve(A, b)
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
         assert np.allclose(x, linear_solve(A, b), atol=1e-10)
+
+
+def test_recycled_solver_checks_the_true_residual_of_cg(monkeypatch):
+    # cg may report convergence (info == 0) on its recursive residual alone;
+    # a result that misses the backward-error bound must be re-solved
+    from pdgap.solvers import _RecycledSpdSolver
+
+    n = 80
+    A = sp.diags([np.full(n - 1, -1.0), np.full(n, 4.0),
+                  np.full(n - 1, -1.0)], [-1, 0, 1], format="csr")
+    b = np.random.default_rng(5).standard_normal(n)
+    factorizations = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        factorizations.append(1)
+        return splu(*args, **kwargs)
+
+    def wrong_cg(A, b, **kwargs):
+        return np.full_like(b, 1.0), 0
+
+    monkeypatch.setattr(solvers.spla, "splu", counting_splu)
+    monkeypatch.setattr(solvers.spla, "cg", wrong_cg)
+    solver = _RecycledSpdSolver()
+    solver.solve(A, b)
+    assert len(factorizations) == 1
+    x = solver.solve(A * 1.01, b)
+    assert len(factorizations) == 2
+    assert np.linalg.norm(A * 1.01 @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_flow_matches_direct_solve_for_quadratic():

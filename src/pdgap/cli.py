@@ -313,10 +313,10 @@ def _dump_indicators(trace: AfemTrace, path) -> None:
     level = trace.final
     ind, res = level.indicators, level.residual
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("element_id,eta_sq,eta_A,eta_B,eta_C,eta_D_hat,eta_res_sq\n")
+        fh.write("element_id,eta_sq,eta_A,eta_D_hat,eta_res_sq\n")
         for t in range(level.mesh.num_triangles):
-            cells = [ind.eta_sq[t], ind.eta_A_sq[t], ind.eta_B_sq[t],
-                     ind.eta_C_sq[t], ind.eta_D_hat_sq[t], res.eta_res_sq[t]]
+            cells = [ind.eta_sq[t], ind.eta_A_sq[t], ind.eta_D_hat_sq[t],
+                     res.eta_res_sq[t]]
             fh.write(f"{t}," + ",".join(f"{c:.17g}" for c in cells) + "\n")
 
 

@@ -1,4 +1,4 @@
-"""Convex energy densities, their conjugates, and load potentials.
+"""Convex energy densities, their conjugates, and the p-power flux map.
 
 Two radial densities ``phi(a) = psi(|a|)`` are provided:
 
@@ -13,19 +13,18 @@ All vector operations accept arrays of shape ``(..., 2)`` and are fully
 vectorized.  ``slope_ratio`` returns ``psi'(t)/t``, the scalar coefficient
 that turns the gradient into a weighted linear operation (used by the
 fixed-point/gradient-flow solver).
+
+The load term ``v -> -int f_h v`` needs no class: its conjugate is the
+indicator of the constraint ``div z + f_h = 0``, which
+:mod:`pdgap.estimators` tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .fespaces import PwConstant, Rt0Field
-
 __all__ = [
-    "PPowerDensity", "OptimalDesignDensity", "LoadPotential",
-    "fmap", "check_fenchel_young",
+    "PPowerDensity", "OptimalDesignDensity", "fmap", "check_fenchel_young",
 ]
 
 # Regularization length for degenerate Hessians and slope ratios.
@@ -182,31 +181,6 @@ class OptimalDesignDensity:
         plateau = self.mu2 * self.t1 / np.maximum(t, KAPPA)
         return np.where(t <= self.t1, self.mu2,
                         np.where(t <= self.t2, plateau, self.mu1))
-
-
-@dataclass
-class LoadPotential:
-    """Elementwise-constant load ``f_h`` with its duality pairing.
-
-    The convex conjugate of ``v -> -int f_h v`` over the discrete spaces is
-    the indicator of the feasibility constraint ``div z + f_h = 0``; the
-    feasibility test uses an absolute-plus-relative tolerance.
-    """
-
-    f: PwConstant
-
-    def pairing(self, v) -> float:
-        """``int f_h v`` using elementwise means (exact for affine v)."""
-        return float(self.f.mesh.areas @ (self.f.values * v.element_means()))
-
-    def feasibility_violation(self, z: Rt0Field) -> float:
-        """``max_T |div z + f_h|`` over all elements."""
-        return float(np.max(np.abs(z.divergence().values + self.f.values)))
-
-    def is_feasible(self, z: Rt0Field, tol: float | None = None) -> bool:
-        if tol is None:
-            tol = 1e-10 * (1.0 + float(np.max(np.abs(self.f.values))))
-        return self.feasibility_violation(z) <= tol
 
 
 def fmap(p: float, a) -> np.ndarray:

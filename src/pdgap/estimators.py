@@ -27,9 +27,8 @@ from .fespaces import CrFunction, P1Function, PwConstant, Rt0Field
 from .quadrature import RULE_ORDER4, TriangleRule, integrate
 
 __all__ = ["EstimatorBreakdown", "AitkenResult",
-           "primal_energy", "dual_energy", "eta_sq", "eta_hat_sq",
-           "eta_res_sq", "oscillation", "rho_F_sq", "rho_I_sq",
-           "aitken_extrapolate", "refined_gap_bounds"]
+           "primal_energy", "dual_energy", "eta_hat_sq", "eta_res_sq",
+           "rho_F_sq", "rho_I_sq", "aitken_extrapolate"]
 
 
 # ---------------------------------------------------------------------------
@@ -40,22 +39,18 @@ __all__ = ["EstimatorBreakdown", "AitkenResult",
 class EstimatorBreakdown:
     """Per-element estimator contributions (squared-unit quantities).
 
-    The gap part satisfies ``eta_sq = eta_A_sq + eta_B_sq + eta_C_sq +
-    eta_D_sq`` and ``eta_hat_sq = eta_A_sq + eta_B_sq + eta_C_hat_sq +
-    eta_D_hat_sq`` per element, with ``0 <= eta_sq <= eta_hat_sq`` (the
-    exact-quadrature ``eta_D_sq`` is diagnostic; the shipped estimator is
-    ``eta_hat_sq``).  The residual part carries the element term
-    ``eta_E_sq``, the per-side jump terms ``eta_J_sq``, and the element
-    totals ``eta_res_sq`` in which each interior side is charged in full to
-    both adjacent elements.  Parts not computed by a given entry point are
-    ``None``.
+    The gap part satisfies ``eta_sq = eta_A_sq + eta_D_sq`` and
+    ``eta_hat_sq = eta_A_sq + eta_D_hat_sq`` per element, with
+    ``0 <= eta_sq <= eta_hat_sq`` (the exact-quadrature ``eta_D_sq`` is
+    diagnostic; the shipped estimator is ``eta_hat_sq``).  The residual
+    part carries the element term ``eta_E_sq``, the per-side jump terms
+    ``eta_J_sq``, and the element totals ``eta_res_sq`` in which each
+    interior side is charged in full to both adjacent elements.  Parts not
+    computed by a given entry point are ``None``.
     """
 
     eta_A_sq: np.ndarray | None = None
-    eta_B_sq: np.ndarray | None = None
-    eta_C_sq: np.ndarray | None = None
     eta_D_sq: np.ndarray | None = None
-    eta_C_hat_sq: np.ndarray | None = None
     eta_D_hat_sq: np.ndarray | None = None
     eta_sq: np.ndarray | None = None
     eta_hat_sq: np.ndarray | None = None
@@ -96,6 +91,12 @@ def primal_energy(v: P1Function | CrFunction, density,
 
 
 def _feasible(z: Rt0Field, f_h: PwConstant) -> bool:
+    """The dual constraint ``div z = -f_h``, to ``1e-10 (1 + max|f_h|)``.
+
+    Normal continuity is not tested: away from the exact discrete
+    minimizer a :class:`~pdgap.reconstruction.MariniField` has a normal
+    mismatch, and testing it would reject every such field.
+    """
     tol = 1e-10 * (1.0 + float(np.max(np.abs(f_h.values))))
     return float(np.max(np.abs(z.divergence().values + f_h.values))) <= tol
 
@@ -107,8 +108,10 @@ def dual_energy(z: Rt0Field, density, f_h: PwConstant,
 
     With the default vertex rule the conjugate integral is overestimated,
     so the returned value is a guaranteed lower bound for the exact dual
-    value (and hence for the primal minimum).  ``quadrature="order4"``
-    gives the accurate-quadrature diagnostic variant instead.
+    value (and hence for the primal minimum).  ``quadrature="mean"``
+    evaluates the conjugate at the element means instead, which gives the
+    discrete dual value ``-sum_T |T| phi*(mean z|_T)`` of the CR/RT0
+    duality; by Jensen's inequality it is at least the vertex-rule value.
 
     ``boundary_values`` (length: number of sides) supplies the side means
     of the primal candidate's Dirichlet trace for the boundary pairing term
@@ -120,10 +123,8 @@ def dual_energy(z: Rt0Field, density, f_h: PwConstant,
     if quadrature == "vertex":
         conj = density.phi_star(z.at_triangle_vertices()).mean(axis=1)
         value = -float(mesh.areas @ conj)
-    elif quadrature == "order4":
-        conj = density.phi_star(z.at_points(
-            RULE_ORDER4.points(mesh.triangle_coords)))
-        value = -float(np.sum(integrate(RULE_ORDER4, mesh.areas, conj)))
+    elif quadrature == "mean":
+        value = -float(mesh.areas @ density.phi_star(z.element_means()))
     else:
         raise ValueError(f"unknown quadrature {quadrature!r}")
     if boundary_values is not None:
@@ -138,30 +139,28 @@ def dual_energy(z: Rt0Field, density, f_h: PwConstant,
 # Gap indicators
 # ---------------------------------------------------------------------------
 
-def eta_sq(u_tilde: P1Function, z: Rt0Field, density,
-           f_h: PwConstant) -> EstimatorBreakdown:
+def eta_hat_sq(u_tilde: P1Function, z: Rt0Field, density,
+               f_h: PwConstant) -> EstimatorBreakdown:
     """Per-element primal-dual gap indicators for a conforming candidate
     and a feasible dual field.
 
     ``eta_A_sq`` has an elementwise-constant integrand and is exact; it is
-    nonnegative by the Fenchel-Young inequality.  ``eta_B_sq`` and
-    ``eta_C_sq`` vanish for the elementwise-constant load with the
-    divergence constraint.  ``eta_D_sq`` (conjugate quadrature deficit) is
-    evaluated by an order-4 rule and is diagnostic; its guaranteed
-    vertex-rule variant lives in ``eta_D_hat_sq``.  All entries are ``+inf``
-    when the dual field violates ``div z = -f_h``.
+    nonnegative by the Fenchel-Young inequality.  The load and divergence
+    terms of the gap cancel for the elementwise-constant load under the
+    divergence constraint, so they have no field.  ``eta_D_sq`` (conjugate
+    quadrature deficit) is evaluated by an order-4 rule and is diagnostic;
+    its guaranteed vertex-rule variant lives in ``eta_D_hat_sq``, and the
+    shipped estimator is ``eta_hat_sq = eta_A_sq + eta_D_hat_sq``.  All
+    entries are ``+inf`` when the dual field violates ``div z = -f_h``.
     """
     mesh = u_tilde.mesh
     if z.mesh is not mesh or f_h.mesh is not mesh:
         raise ValueError("estimator inputs live on different meshes")
-    nt = mesh.num_triangles
-    zeros = np.zeros(nt)
     if not _feasible(z, f_h):
-        inf = np.full(nt, np.inf)
-        return EstimatorBreakdown(
-            eta_A_sq=inf, eta_B_sq=zeros, eta_C_sq=zeros, eta_D_sq=inf,
-            eta_C_hat_sq=zeros, eta_D_hat_sq=inf, eta_sq=inf,
-            eta_hat_sq=inf)
+        inf = np.full(mesh.num_triangles, np.inf)
+        return EstimatorBreakdown(eta_A_sq=inf, eta_D_sq=inf,
+                                  eta_D_hat_sq=inf, eta_sq=inf,
+                                  eta_hat_sq=inf)
 
     grads = u_tilde.gradients()
     means = z.element_means()
@@ -178,15 +177,8 @@ def eta_sq(u_tilde: P1Function, z: Rt0Field, density,
         z.at_points(RULE_ORDER4.points(mesh.triangle_coords))))
     eta_D = np.maximum(quad - mesh.areas * conj_mean, 0.0)
     return EstimatorBreakdown(
-        eta_A_sq=eta_A, eta_B_sq=zeros.copy(), eta_C_sq=zeros.copy(),
-        eta_D_sq=eta_D, eta_C_hat_sq=zeros.copy(), eta_D_hat_sq=eta_D_hat,
+        eta_A_sq=eta_A, eta_D_sq=eta_D, eta_D_hat_sq=eta_D_hat,
         eta_sq=eta_A + eta_D, eta_hat_sq=eta_A + eta_D_hat)
-
-
-def eta_hat_sq(u_tilde: P1Function, z: Rt0Field, density,
-               f_h: PwConstant) -> EstimatorBreakdown:
-    """Guaranteed (vertex-rule) indicators; same breakdown as :func:`eta_sq`."""
-    return eta_sq(u_tilde, z, density, f_h)
 
 
 # ---------------------------------------------------------------------------
@@ -225,30 +217,6 @@ def eta_res_sq(u_c: P1Function, f_h: PwConstant, p: float) -> EstimatorBreakdown
     eta_res = eta_E + per_side_charge[mesh.tri_sides].sum(axis=1)
     return EstimatorBreakdown(eta_E_sq=eta_E, eta_J_sq=eta_J,
                               eta_res_sq=eta_res)
-
-
-def oscillation(u_c: P1Function, f: Callable, p: float,
-                rule: TriangleRule = RULE_ORDER4) -> np.ndarray:
-    """Per-element data-oscillation values for a non-constant load ``f``.
-
-    ``int_T (|grad u_c|^{p-1} + h_T |f - mean f|)^{p'-2} h_T^2 |f - mean f|^2``
-    by numerical quadrature.  Zero wherever ``f`` is elementwise constant.
-    """
-    if p <= 1.0:
-        raise ValueError("oscillation requires p > 1")
-    mesh = u_c.mesh
-    q = p / (p - 1.0)
-    pts = rule.points(mesh.triangle_coords)
-    fvals = np.asarray(f(pts), dtype=float)
-    fmean = fvals @ rule.weights
-    dev = np.abs(fvals - fmean[:, None])
-    gnorm = np.sqrt(np.sum(u_c.gradients() ** 2, axis=-1))
-    h = mesh.diameters
-    base = gnorm[:, None] ** (p - 1.0) + h[:, None] * dev
-    weight = np.where(dev > 0.0,
-                      np.where(base > 0.0, base, 1.0) ** (q - 2.0), 0.0)
-    integrand = weight * h[:, None] ** 2 * dev ** 2
-    return integrate(rule, mesh.areas, integrand)
 
 
 # ---------------------------------------------------------------------------
@@ -321,30 +289,3 @@ def aitken_extrapolate(s) -> AitkenResult:
     if denom == 0.0 or not np.isfinite(denom):
         return AitkenResult(float(s2), True)
     return AitkenResult(float(s2 - d2 * d2 / denom), False)
-
-
-def refined_gap_bounds(u_tilde: P1Function, u_cr: CrFunction, z: Rt0Field,
-                       density) -> tuple[np.ndarray, np.ndarray]:
-    """Convexity (monotonicity) bounds dominating the gap indicators.
-
-    Returns per-element ``B_A = int (Dphi(grad u_tilde) - Dphi(grad u_cr))
-    . (grad u_tilde - grad u_cr)`` (constant integrand, exact) and ``B_D =
-    int (Dphi*(z) - Dphi*(mean z)) . (z - mean z)`` (order-4 quadrature).
-    Per element ``eta_A_sq <= B_A`` and ``eta_D_sq <= B_D`` up to quadrature
-    tolerance; totals are the array sums.
-    """
-    mesh = u_tilde.mesh
-    gt = u_tilde.gradients()
-    gc = u_cr.gradients()
-    b_a = mesh.areas * np.einsum(
-        "td,td->t", density.dphi(gt) - density.dphi(gc), gt - gc)
-
-    pts = RULE_ORDER4.points(mesh.triangle_coords)
-    zvals = z.at_points(pts)
-    means = z.element_means()
-    integrand = np.einsum(
-        "tqd,tqd->tq",
-        density.dphi_star(zvals) - density.dphi_star(means)[:, None, :],
-        zvals - means[:, None, :])
-    b_d = integrate(RULE_ORDER4, mesh.areas, integrand)
-    return b_a, b_d

@@ -25,9 +25,8 @@ from .quadrature import RULE_ORDER4, TriangleRule
 
 __all__ = [
     "PwConstant", "PwConstantVector", "P1Function", "CrFunction", "Rt0Field",
-    "project_pw", "grad_h", "div", "node_average", "vertex_interpolate",
-    "side_jump", "normal_jump", "vector_jump", "ibp_residual", "side_means",
-    "prolong_p1", "prolong_cr", "write_function_csv",
+    "project_pw", "node_average", "side_jump", "vector_jump", "ibp_residual",
+    "prolong_cr", "write_function_csv",
 ]
 
 
@@ -37,9 +36,6 @@ class PwConstant:
 
     mesh: Triangulation
     values: np.ndarray
-
-    def integral(self) -> float:
-        return float(self.mesh.areas @ self.values)
 
 
 @dataclass
@@ -87,14 +83,10 @@ class CrFunction:
             raise ValueError("CR values must have one entry per side")
 
     def gradients(self) -> np.ndarray:
-        """(nt, 2) broken gradient.
-
-        The basis function of local side j = (v_j, v_{j+1}) is
-        ``1 - 2 lambda_{j+2}``, so its gradient is ``-2 grad lambda_{j+2}``.
-        """
+        """(nt, 2) broken gradient (see
+        :attr:`~pdgap.mesh.Triangulation.cr_basis_gradients`)."""
         vv = self.values[self.mesh.tri_sides]
-        opp = self.mesh.barycentric_gradients[:, [2, 0, 1], :]
-        return np.einsum("tj,tjd->td", vv, -2.0 * opp)
+        return np.einsum("tj,tjd->td", vv, self.mesh.cr_basis_gradients)
 
     def triangle_vertex_values(self) -> np.ndarray:
         """(nt, 3) corner values of the broken affine representative.
@@ -201,16 +193,6 @@ def write_function_csv(fn, path) -> None:
             fh.write(f"{i},{v:.17g}\n")
 
 
-def grad_h(v: P1Function | CrFunction) -> PwConstantVector:
-    """Broken gradient as a piecewise constant vector field."""
-    return PwConstantVector(v.mesh, v.gradients())
-
-
-def div(z: Rt0Field) -> PwConstant:
-    """Divergence of a lowest-order Raviart-Thomas field."""
-    return z.divergence()
-
-
 def node_average(v: CrFunction, dirichlet_values=None) -> P1Function:
     """Conforming approximation by arithmetic vertex averaging.
 
@@ -234,18 +216,6 @@ def node_average(v: CrFunction, dirichlet_values=None) -> P1Function:
     return P1Function(mesh, averaged)
 
 
-def vertex_interpolate(mesh: Triangulation, corner_values: np.ndarray) -> np.ndarray:
-    """Integrals of the elementwise affine interpolant of corner values.
-
-    Given values at the triangle corners (nt, 3), returns the per-triangle
-    integral of the affine function matching them: ``|T|/3 * sum``.  For a
-    convex integrand sampled at the corners this never underestimates the
-    exact integral.
-    """
-    corner_values = np.asarray(corner_values, dtype=float)
-    return mesh.areas / 3.0 * corner_values.sum(axis=1)
-
-
 def side_jump(v: P1Function | CrFunction) -> np.ndarray:
     """Jumps of the broken trace at both side endpoints: (ns, 2).
 
@@ -265,15 +235,6 @@ def side_jump(v: P1Function | CrFunction) -> np.ndarray:
                 mesh.triangles[tris[valid]] == vids[valid, None], axis=1)
             out[valid, col] += sgn * corner[tris[valid], loc]
     return out
-
-
-def normal_jump(q: PwConstantVector) -> np.ndarray:
-    """Jump of the normal component across each side: (ns,).
-
-    Computed along the canonical side normal; on boundary sides this is the
-    trace ``q . n`` of the single incident triangle.
-    """
-    return np.einsum("sd,sd->s", vector_jump(q), q.mesh.side_normals)
 
 
 def vector_jump(q: PwConstantVector) -> np.ndarray:
@@ -303,17 +264,6 @@ def ibp_residual(z: Rt0Field, v: P1Function | CrFunction) -> float:
     return bulk - sides
 
 
-def side_means(mesh: Triangulation, g, sides=None) -> np.ndarray:
-    """Integral means of a callable over (a subset of) sides via 2-point Gauss."""
-    ids = np.arange(mesh.num_sides) if sides is None else np.asarray(sides)
-    a = mesh.vertices[mesh.sides[ids, 0]]
-    b = mesh.vertices[mesh.sides[ids, 1]]
-    t = 0.5 / np.sqrt(3.0)
-    p1 = 0.5 * (a + b) - t * (b - a)
-    p2 = 0.5 * (a + b) + t * (b - a)
-    return 0.5 * (np.asarray(g(p1), dtype=float) + np.asarray(g(p2), dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # Prolongation to a refined mesh (for warm starts)
 # ---------------------------------------------------------------------------
@@ -321,18 +271,6 @@ def side_means(mesh: Triangulation, g, sides=None) -> np.ndarray:
 def _eval_parent_affine(old, means, grads, coarse_of, points):
     rel = points - old.barycenters[coarse_of]
     return means[coarse_of] + np.einsum("nd,nd->n", grads[coarse_of], rel)
-
-
-def prolong_p1(v: P1Function, fine: Triangulation) -> P1Function:
-    """Transfer a P1 function to a refinement of its mesh (exactly)."""
-    if fine.parent_elements is None:
-        raise ValueError("fine mesh does not track parent elements")
-    indptr, data = fine.vertex_to_triangles
-    owner_tri = data[indptr[:-1]]  # one incident fine triangle per vertex
-    coarse_of = fine.parent_elements[owner_tri]
-    vals = _eval_parent_affine(v.mesh, v.element_means(), v.gradients(),
-                               coarse_of, fine.vertices)
-    return P1Function(fine, vals)
 
 
 def prolong_cr(v: CrFunction, fine: Triangulation) -> CrFunction:

@@ -23,7 +23,6 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -76,8 +75,6 @@ class Triangulation:
         names every boundary side exactly once, in either vertex order, or
         the string 'dirichlet' to label every boundary side Dirichlet.
     generation : optional (nt,) int array of refinement generation tags.
-    fix_orientation : if True, clockwise triangles are silently flipped;
-        otherwise they raise :class:`MeshError`.
 
     Attributes (all derived, treat as read-only)
     --------------------------------------------
@@ -94,7 +91,7 @@ class Triangulation:
     """
 
     def __init__(self, vertices, triangles, boundary_labels="dirichlet",
-                 generation=None, fix_orientation=False):
+                 generation=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
@@ -117,13 +114,7 @@ class Triangulation:
         if np.any(np.abs(signed) <= GEOM_TOL * edge_sq):
             raise MeshError("degenerate (zero-area) triangle")
         if np.any(signed < 0):
-            if not fix_orientation:
-                raise MeshError("triangle with clockwise orientation")
-            flip = signed < 0
-            self.triangles = self.triangles.copy()
-            self.triangles[flip] = self.triangles[flip][:, [0, 2, 1]]
-            coords = self.vertices[self.triangles]
-            signed = np.abs(signed)
+            raise MeshError("triangle with clockwise orientation")
         self.areas = signed
 
         nt = len(self.triangles)
@@ -247,6 +238,15 @@ class Triangulation:
         return rot / (2.0 * self.areas[:, None, None])
 
     @cached_property
+    def cr_basis_gradients(self) -> np.ndarray:
+        """(nt, 3, 2) gradients of the Crouzeix-Raviart basis functions.
+
+        The basis function of local side j = (v_j, v_{j+1}) is
+        ``1 - 2 lambda_{j+2}``, so its gradient is ``-2 grad lambda_{j+2}``.
+        """
+        return -2.0 * self.barycentric_gradients[:, [2, 0, 1], :]
+
+    @cached_property
     def boundary_side_ids(self) -> np.ndarray:
         return np.flatnonzero(self.side_tris[:, 1] < 0)
 
@@ -263,19 +263,6 @@ class Triangulation:
         mask = np.zeros(self.num_vertices, dtype=bool)
         mask[self.sides[self.dirichlet_side_mask].ravel()] = True
         return mask
-
-    @cached_property
-    def vertex_to_triangles(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR-style vertex->incident-triangle adjacency (indptr, data)."""
-        flat = self.triangles.ravel()
-        order = np.argsort(flat, kind="stable")
-        counts = np.bincount(flat, minlength=self.num_vertices)
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        return indptr, order // 3
-
-    def triangles_at_vertex(self, v: int) -> np.ndarray:
-        indptr, data = self.vertex_to_triangles
-        return data[indptr[v]:indptr[v + 1]]
 
     def min_angle(self) -> float:
         """Smallest interior angle over all triangles, in degrees."""
@@ -303,41 +290,6 @@ class Triangulation:
         ref_side = candidates.min(axis=1)
         ref_local = np.argmax(self.tri_sides == ref_side[:, None], axis=1)
         return ref_side, ref_local
-
-    def boundary_label_map(self) -> dict[tuple[int, int], str]:
-        """Boundary labels as a {sorted vertex pair: 'D'/'N'} mapping."""
-        out = {}
-        for sid in self.boundary_side_ids:
-            a, b = self.sides[sid]
-            out[(int(a), int(b))] = _CODE_TO_LABEL[int(self.side_labels[sid])]
-        return out
-
-
-@dataclass(frozen=True)
-class Patch:
-    """The vertex patch of a triangle: all triangles sharing a vertex with it.
-
-    ``sides`` collects the side ids meeting the interior of the patch, i.e.
-    the sides whose incident triangles both belong to the patch.
-    """
-
-    center: int
-    elements: np.ndarray
-    sides: np.ndarray
-
-
-def patch(mesh: Triangulation, t: int) -> Patch:
-    """Vertex patch of triangle ``t`` (see :class:`Patch`)."""
-    if not 0 <= t < mesh.num_triangles:
-        raise IndexError(f"triangle id {t} out of range")
-    tris = np.unique(np.concatenate(
-        [mesh.triangles_at_vertex(v) for v in mesh.triangles[t]]))
-    member = np.zeros(mesh.num_triangles + 1, dtype=bool)
-    member[tris] = True
-    cand = np.unique(mesh.tri_sides[tris].ravel())
-    both_in = member[mesh.side_tris[cand, 0]] & \
-        (mesh.side_tris[cand, 1] >= 0) & member[mesh.side_tris[cand, 1]]
-    return Patch(center=int(t), elements=tris, sides=cand[both_in])
 
 
 # ---------------------------------------------------------------------------

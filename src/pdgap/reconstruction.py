@@ -23,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimators import dual_energy, primal_energy
 from .fespaces import CrFunction, PwConstant, Rt0Field
 
 __all__ = ["MariniField", "DualityReport", "marini_reconstruct",
-           "flux_mismatch", "verify_discrete_optimality",
-           "discrete_duality_gap"]
+           "flux_mismatch", "verify_discrete_optimality"]
 
 
 class MariniField(Rt0Field):
@@ -111,30 +111,6 @@ def flux_mismatch(z: MariniField) -> np.ndarray:
     return z.mismatch.copy()
 
 
-def _energies(u: CrFunction, z: Rt0Field, density,
-              f_h: PwConstant) -> tuple[float, float]:
-    """Discrete primal energy of u and dual value of z.
-
-    The dual value is ``-sum_T |T| phi*(mean(z)|_T)`` plus the boundary
-    pairing ``sum_S (z.n)|S| u_S`` over Dirichlet sides (the pairing
-    vanishes for homogeneous data); it is ``-inf`` when the divergence
-    constraint ``div z + f_h = 0`` fails beyond tolerance.
-    """
-    mesh = u.mesh
-    grads = u.gradients()
-    primal = float(mesh.areas @ (density.phi(grads)
-                                 - f_h.values * u.element_means()))
-    tol = 1e-10 * (1.0 + float(np.max(np.abs(f_h.values))))
-    if float(np.max(np.abs(z.divergence().values + f_h.values))) > tol:
-        return primal, float(-np.inf)
-    dual = -float(mesh.areas @ density.phi_star(z.element_means()))
-    diri = np.flatnonzero(mesh.dirichlet_side_mask)
-    if diri.size:
-        dual += float(np.sum(z.coeffs[diri] * mesh.side_lengths[diri]
-                             * u.values[diri]))
-    return primal, dual
-
-
 def verify_discrete_optimality(u: CrFunction, z: Rt0Field, density,
                                f_h: PwConstant) -> DualityReport:
     """Check the discrete optimality relations of a primal/dual pair.
@@ -143,6 +119,11 @@ def verify_discrete_optimality(u: CrFunction, z: Rt0Field, density,
     diagnostics vanish: the element means of z coincide with the gradient
     stress, the divergence balances the load, the elementwise Fenchel-Young
     inequality holds with equality, and the gap closes.
+
+    The dual value is ``-sum_T |T| phi*(mean(z)|_T)`` plus the boundary
+    pairing ``sum_S (z.n)|S| u_S`` over Dirichlet sides (the pairing
+    vanishes for homogeneous data): that is
+    :func:`~pdgap.estimators.dual_energy` with ``quadrature="mean"``.
     """
     mesh = u.mesh
     grads = u.gradients()
@@ -155,19 +136,12 @@ def verify_discrete_optimality(u: CrFunction, z: Rt0Field, density,
         else np.zeros(mesh.num_sides)  # glued fields are normal-continuous
     interior = mesh.side_tris[:, 1] >= 0
     max_jump = float(np.max(np.abs(jump[interior]))) if interior.any() else 0.0
-    primal, dual = _energies(u, z, density, f_h)
+    primal = primal_energy(u, density, f_h)
+    dual = dual_energy(z, density, f_h, boundary_values=u.values,
+                       quadrature="mean")
     return DualityReport(
         primal=primal, dual=dual, gap=primal - dual,
         max_mean_defect=float(np.max(np.sqrt(np.sum(mean_defect ** 2, -1)))),
         max_div_defect=float(np.max(np.abs(div_defect))),
         max_flux_jump=max_jump,
         fenchel_young_residuals=fy)
-
-
-def discrete_duality_gap(u: CrFunction, z: Rt0Field, density,
-                         f_h: PwConstant) -> float:
-    """Discrete primal energy minus discrete dual value; zero (to solver
-    accuracy) at an exact minimizer with its reconstructed flux, ``+inf``
-    when z violates the divergence constraint."""
-    primal, dual = _energies(u, z, density, f_h)
-    return primal - dual

@@ -34,6 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .estimators import primal_energy
 from .fespaces import CrFunction, P1Function, PwConstant
 from .mesh import Triangulation
 
@@ -95,6 +96,11 @@ def linear_solve(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     return _spd_factor_solve(A, b)[1]
 
 
+#: CG iterations after which :class:`_RecycledSpdSolver` drops its
+#: factorization, so that the next system is factorized afresh.
+_REFRESH_AFTER = 20
+
+
 class _RecycledSpdSolver:
     """Direct solves with factorization reuse for slowly varying SPD systems.
 
@@ -102,14 +108,14 @@ class _RecycledSpdSolver:
     mode, minimum-degree ordering); subsequent ones are solved by conjugate
     gradients preconditioned with the retained factorization (consecutive
     gradient-flow matrices differ only through the lagged weights), and the
-    factorization is refreshed once it degrades.  Every solve meets the same
-    1e-12 backward-error contract as :func:`linear_solve`: a CG result whose
-    true residual misses it is replaced by a fresh factorization's solve.
+    factorization is refreshed once a solve takes more than
+    :data:`_REFRESH_AFTER` iterations.  Every solve meets the same 1e-12
+    backward-error contract as :func:`linear_solve`: a CG result whose true
+    residual misses it is replaced by a fresh factorization's solve.
     """
 
-    def __init__(self, refresh_after: int = 20):
+    def __init__(self):
         self._lu = None
-        self._refresh_after = refresh_after
 
     def solve(self, A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
         A = sp.csc_matrix(A)
@@ -130,7 +136,7 @@ class _RecycledSpdSolver:
             _check_backward_error(A, x, b)
         except ArithmeticError:
             return self._factor_and_solve(A, b)
-        if count > self._refresh_after:
+        if count > _REFRESH_AFTER:
             self._lu = None
         return x
 
@@ -163,7 +169,7 @@ class DiscreteProblem:
         self.space = space
         if space == "cr":
             self.dof_map = mesh.tri_sides
-            self.basis_grads = -2.0 * mesh.barycentric_gradients[:, [2, 0, 1], :]
+            self.basis_grads = mesh.cr_basis_gradients
             self.num_dofs = mesh.num_sides
             fixed = mesh.dirichlet_side_mask.copy()
         else:
@@ -199,15 +205,13 @@ class DiscreteProblem:
 
     def broken_gradient(self, u: np.ndarray) -> np.ndarray:
         """(nt, 2) elementwise gradient of the function with values ``u``."""
-        return np.einsum("tj,tjd->td", u[self.dof_map], self.basis_grads)
+        return self.function(u).gradients()
 
     # -- energy and derivatives --------------------------------------------
 
     def energy(self, u: np.ndarray) -> float:
-        grads = self.broken_gradient(u)
-        means = u[self.dof_map].mean(axis=1)
-        return float(self.mesh.areas @ (self.density.phi(grads)
-                                        - self.load.values * means))
+        """:func:`~pdgap.estimators.primal_energy` of ``u``."""
+        return primal_energy(self.function(u), self.density, self.load)
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
         """Full gradient vector (entries at constrained unknowns included)."""
@@ -444,8 +448,7 @@ def _fixed_value_coupling(problem: DiscreteProblem) -> np.ndarray | None:
     fixed_vals = np.where(problem.fixed_mask, problem.dirichlet_values, 0.0)
     if not np.any(fixed_vals):
         return None
-    grads = np.einsum("tj,tjd->td", fixed_vals[problem.dof_map],
-                      problem.basis_grads)
+    grads = problem.broken_gradient(fixed_vals)
     return np.einsum("td,tjd->tj", grads, problem.basis_grads)
 
 

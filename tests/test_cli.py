@@ -309,7 +309,7 @@ def test_run_benchmark_writes_trace_plots_and_dumps(tmp_path):
         assert ET.parse(tmp_path / name).getroot() is not None
 
     ind_lines = (tmp_path / "indicators.csv").read_text().splitlines()
-    assert ind_lines[0] == "element_id,eta_sq,eta_A,eta_B,eta_C,eta_D_hat,eta_res_sq"
+    assert ind_lines[0] == "element_id,eta_sq,eta_A,eta_D_hat,eta_res_sq"
     assert len(ind_lines) - 1 == records[-1].elements
     flux_lines = (tmp_path / "flux.csv").read_text().splitlines()
     assert flux_lines[0] == "side_id,coeff"

@@ -1,4 +1,4 @@
-"""Tests for the convex densities, conjugates, and load potentials.
+"""Tests for the convex densities, their conjugates, and the flux map.
 
 Conjugate oracle: a dense 1D grid maximization of ``s t - psi(t)`` over the
 radial profile (the densities are radial, so the two-dimensional conjugate
@@ -10,10 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pdgap.energy_models import (KAPPA, LoadPotential, OptimalDesignDensity,
-                                 PPowerDensity, check_fenchel_young, fmap)
-from pdgap.fespaces import PwConstant, Rt0Field, project_pw
-from pdgap.mesh import make_lshape_mesh
+from pdgap.energy_models import (KAPPA, OptimalDesignDensity, PPowerDensity,
+                                 check_fenchel_young, fmap)
 
 P_VALUES = (1.2, 1.6, 2.0, 3.0)
 
@@ -172,17 +170,3 @@ def test_fmap():
         assert np.allclose(cosine, 1.0)
     assert np.allclose(fmap(1.6, np.zeros(2)), 0.0)
 
-
-def test_load_potential():
-    mesh = make_lshape_mesh()
-    load = LoadPotential(project_pw(mesh, lambda p: np.ones(p.shape[:-1])))
-    from pdgap.fespaces import P1Function
-    v = P1Function(mesh, 2.0 * np.ones(mesh.num_vertices))
-    assert np.isclose(load.pairing(v), 2.0 * 3.0)  # f=1 times v=2 over area 3
-
-    # a field with divergence exactly -f is feasible; scaling it is not
-    coeffs = np.einsum("sd,sd->s", -0.5 * mesh.side_midpoints, mesh.side_normals)
-    z = Rt0Field(mesh, coeffs)  # z = -x/2 has div = -1
-    assert load.feasibility_violation(z) < 1e-14
-    assert load.is_feasible(z)
-    assert not load.is_feasible(Rt0Field(mesh, 1.1 * coeffs))

@@ -1,18 +1,18 @@
-"""Tests for the gap, residual, and oscillation estimators."""
+"""Tests for the gap and residual estimators and the primal/dual energies."""
 
 import numpy as np
 import pytest
 
 from pdgap.energy_models import OptimalDesignDensity, PPowerDensity
-from pdgap.estimators import (aitken_extrapolate, dual_energy, eta_hat_sq,
-                              eta_res_sq, eta_sq, oscillation, primal_energy,
-                              refined_gap_bounds, rho_F_sq, rho_I_sq)
+from pdgap.estimators import (_feasible, aitken_extrapolate, dual_energy,
+                              eta_hat_sq, eta_res_sq, primal_energy, rho_F_sq,
+                              rho_I_sq)
 from pdgap.fespaces import (CrFunction, P1Function, PwConstant, Rt0Field,
                             node_average)
 from pdgap.mesh import (Triangulation, make_lshape_mesh, make_square_mesh,
                         uniform_refine)
-from pdgap.quadrature import RULE_ORDER4, RULE_ORDER8
-from pdgap.reconstruction import marini_reconstruct
+from pdgap.quadrature import RULE_ORDER4, RULE_ORDER8, integrate
+from pdgap.reconstruction import marini_reconstruct, verify_discrete_optimality
 from pdgap.solvers import DiscreteProblem, newton_solve
 
 REF = Triangulation(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
@@ -63,7 +63,7 @@ def test_reference_triangle_closed_forms():
     z = _identity_field(REF)
     f_h = PwConstant(REF, np.array([-2.0]))   # div z = 2
     u0 = P1Function(REF, np.zeros(3))
-    bd = eta_sq(u0, z, P2, f_h)
+    bd = eta_hat_sq(u0, z, P2, f_h)
     assert bd.eta_D_hat_sq[0] == pytest.approx(1.0 / 9.0, abs=1e-15)
     assert bd.eta_D_sq[0] == pytest.approx(1.0 / 36.0, abs=1e-15)
     assert bd.eta_D_hat_sq[0] >= bd.eta_D_sq[0] >= 0.0
@@ -73,7 +73,7 @@ def test_constant_field_has_zero_deficit():
     z = _constant_field(REF, [0.3, -0.2])
     f_h = PwConstant(REF, np.zeros(1))
     u0 = P1Function(REF, np.zeros(3))
-    bd = eta_sq(u0, z, P2, f_h)
+    bd = eta_hat_sq(u0, z, P2, f_h)
     assert bd.eta_D_hat_sq[0] == 0.0
     assert bd.eta_D_sq[0] == pytest.approx(0.0, abs=1e-15)
 
@@ -87,7 +87,7 @@ def test_gradient_pair_gives_zero_eta():
     grad = np.array([0.4, -0.3])
     u_tilde = P1Function(mesh, mesh.vertices @ grad)
     z = _constant_field(mesh, density.dphi(grad[None])[0])
-    bd = eta_sq(u_tilde, z, density, f_h)
+    bd = eta_hat_sq(u_tilde, z, density, f_h)
     assert bd.eta_sq_total == pytest.approx(0.0, abs=1e-14)
     assert bd.eta_hat_sq_total == pytest.approx(0.0, abs=1e-14)
 
@@ -101,33 +101,24 @@ def test_breakdown_invariants_random_pairs():
             u_cr = CrFunction(mesh, rng.normal(size=mesh.num_sides))
             z = marini_reconstruct(u_cr, density, f_h)  # feasible by design
             u_tilde = P1Function(mesh, rng.normal(size=mesh.num_vertices))
-            bd = eta_sq(u_tilde, z, density, f_h)
+            bd = eta_hat_sq(u_tilde, z, density, f_h)
             scale = max(bd.eta_hat_sq_total, 1.0)
             assert np.all(bd.eta_A_sq >= 0.0)
             assert np.all(bd.eta_sq >= 0.0)
             assert np.all(bd.eta_hat_sq - bd.eta_sq >= -1e-12 * scale)
-            assert np.allclose(
-                bd.eta_sq, bd.eta_A_sq + bd.eta_B_sq + bd.eta_C_sq
-                + bd.eta_D_sq, atol=0.0)
-            assert np.allclose(
-                bd.eta_hat_sq, bd.eta_A_sq + bd.eta_B_sq + bd.eta_C_hat_sq
-                + bd.eta_D_hat_sq, atol=0.0)
+            assert np.allclose(bd.eta_sq, bd.eta_A_sq + bd.eta_D_sq,
+                               atol=0.0)
+            assert np.allclose(bd.eta_hat_sq, bd.eta_A_sq + bd.eta_D_hat_sq,
+                               atol=0.0)
 
 
 def test_infeasible_dual_field_marks_infinity():
     mesh, f_h, density, u_cr, z, u_tilde = _converged_pair()
     bad = Rt0Field(mesh, 1.1 * z.coeffs)
-    bd = eta_sq(u_tilde, bad, density, f_h)
+    bd = eta_hat_sq(u_tilde, bad, density, f_h)
     assert np.all(np.isinf(bd.eta_sq))
     assert np.isinf(bd.eta_hat_sq_total)
     assert dual_energy(bad, density, f_h) == -np.inf
-
-
-def test_eta_hat_alias():
-    mesh, f_h, density, u_cr, z, u_tilde = _converged_pair()
-    a = eta_sq(u_tilde, z, density, f_h)
-    b = eta_hat_sq(u_tilde, z, density, f_h)
-    assert np.array_equal(a.eta_hat_sq, b.eta_hat_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +137,96 @@ def test_dual_energy_closed_forms():
 
 
 def test_dual_energy_vertex_rule_is_lower_bound():
+    # Jensen: the corner mean of phi*(z) is at least phi* of the element mean
     mesh, f_h, density, u_cr, z, u_tilde = _converged_pair()
     guaranteed = dual_energy(z, density, f_h)
-    accurate = dual_energy(z, density, f_h, quadrature="order4")
-    assert guaranteed <= accurate + 1e-15
+    discrete = dual_energy(z, density, f_h, quadrature="mean")
+    assert guaranteed < discrete
     with pytest.raises(ValueError):
         dual_energy(z, density, f_h, quadrature="order2")
+
+
+def _with_divergence_defect(z0, f_h, ratio):
+    """``z0`` with one boundary coefficient changed so that its divergence
+    moves by ``ratio`` times the feasibility tolerance on one element."""
+    mesh = z0.mesh
+    tol = 1e-10 * (1.0 + float(np.max(np.abs(f_h.values))))
+    coeffs = z0.coeffs.copy()
+    side = int(mesh.boundary_side_ids[0])
+    t = int(mesh.side_tris[side, 0])
+    # a boundary coefficient changes div z on its one element by
+    # coeff |S| / |T|
+    coeffs[side] += ratio * tol * mesh.areas[t] / mesh.side_lengths[side]
+    z = Rt0Field(mesh, coeffs)
+    defect = float(np.max(np.abs(z.divergence().values + f_h.values)))
+    return z, defect / tol
+
+
+@pytest.mark.parametrize("ratio", [0.5, 2.0])
+def test_feasibility_boundary_agrees_across_entry_points(ratio):
+    mesh = uniform_refine(make_lshape_mesh(), 1)
+    z0 = Rt0Field(mesh, np.einsum("sd,sd->s", -0.5 * mesh.side_midpoints,
+                                  mesh.side_normals))     # z0 = -x/2
+    # the load is minus the computed divergence, so z0 has no defect at all
+    f_h = PwConstant(mesh, -z0.divergence().values)
+    z, measured = _with_divergence_defect(z0, f_h, ratio)
+    assert measured == pytest.approx(ratio, rel=1e-3)
+    feasible = ratio < 1.0
+    assert _feasible(z, f_h) is feasible
+
+    rng = np.random.default_rng(3)
+    density = PPowerDensity(1.6)
+    u_cr = CrFunction(mesh, rng.normal(size=mesh.num_sides))
+    u_tilde = P1Function(mesh, rng.normal(size=mesh.num_vertices))
+    for quadrature in ("vertex", "mean"):
+        value = dual_energy(z, density, f_h, quadrature=quadrature)
+        assert np.isfinite(value) if feasible else value == -np.inf
+    bd = eta_hat_sq(u_tilde, z, density, f_h)
+    for part in (bd.eta_A_sq, bd.eta_D_sq, bd.eta_D_hat_sq, bd.eta_sq,
+                 bd.eta_hat_sq):
+        assert np.all(np.isfinite(part)) if feasible \
+            else np.all(part == np.inf)
+    report = verify_discrete_optimality(u_cr, z, density, f_h)
+    assert report.max_div_defect == pytest.approx(
+        measured * 1e-10 * (1.0 + np.max(np.abs(f_h.values))), rel=1e-12)
+    if feasible:
+        assert np.isfinite(report.dual) and np.isfinite(report.gap)
+    else:
+        assert report.dual == -np.inf and report.gap == np.inf
+
+
+@pytest.mark.parametrize("space", ["cr", "p1"])
+@pytest.mark.parametrize("density", [PPowerDensity(1.2),
+                                     OptimalDesignDensity()],
+                         ids=["p1.2", "design"])
+def test_one_primal_energy_kernel(space, density):
+    # the solver energy, the estimator energy and the optimality report
+    # share one formula, so they agree bit for bit
+    rng = np.random.default_rng(47)
+    mesh = uniform_refine(make_lshape_mesh(), 1)
+    f_h = PwConstant(mesh, rng.normal(size=mesh.num_triangles))
+    num_dofs = mesh.num_sides if space == "cr" else mesh.num_vertices
+    prob = DiscreteProblem(mesh, density, f_h, space=space,
+                           dirichlet=rng.normal(size=num_dofs))
+    for _ in range(3):
+        u = prob.impose_dirichlet(rng.normal(size=num_dofs))
+        v = prob.function(u)
+        grads = np.einsum("tj,tjd->td", u[prob.dof_map], prob.basis_grads)
+        assert np.array_equal(prob.broken_gradient(u), grads)
+        inline = float(mesh.areas @ (density.phi(grads) - f_h.values
+                                     * u[prob.dof_map].mean(axis=1)))
+        energy = prob.energy(u)
+        assert energy == primal_energy(v, density, f_h) == inline
+        if space == "cr":
+            z = marini_reconstruct(v, density, f_h)
+            report = verify_discrete_optimality(v, z, density, f_h)
+            assert report.primal == energy
+            diri = np.flatnonzero(mesh.dirichlet_side_mask)
+            inline = -float(mesh.areas @ density.phi_star(z.element_means())) \
+                + float(np.sum(z.coeffs[diri] * mesh.side_lengths[diri]
+                               * u[diri]))
+            assert report.dual == inline == dual_energy(
+                z, density, f_h, boundary_values=u, quadrature="mean")
 
 
 def test_weak_duality_and_gap_identity():
@@ -163,7 +238,7 @@ def test_weak_duality_and_gap_identity():
         dual = dual_energy(z, density, f_h)
         scale = abs(primal) + abs(dual)
         assert primal - dual >= -1e-10 * scale
-        bd = eta_sq(u_tilde, z, density, f_h)
+        bd = eta_hat_sq(u_tilde, z, density, f_h)
         assert primal - dual == pytest.approx(bd.eta_hat_sq_total,
                                               abs=1e-9 * max(scale, 1.0))
 
@@ -230,26 +305,6 @@ def test_residual_rejects_bad_exponent():
     f_h = PwConstant(mesh, np.ones(mesh.num_triangles))
     with pytest.raises(ValueError):
         eta_res_sq(u_c, f_h, p=1.0)
-
-
-# ---------------------------------------------------------------------------
-# oscillation
-# ---------------------------------------------------------------------------
-
-def test_oscillation_zero_for_constant_load():
-    mesh = make_lshape_mesh()
-    u_c = P1Function(mesh, np.zeros(mesh.num_vertices))
-    osc = oscillation(u_c, lambda x: np.full(x.shape[:-1], 3.0), p=1.6)
-    # quadrature-weight roundoff leaves ~1e-42 residue
-    assert np.all(osc <= 1e-35)
-
-
-def test_oscillation_linear_load_closed_form():
-    # f(x) = x_1 on the reference triangle, p=2:
-    # h^2 * int (x_1 - 1/3)^2 = 2 * 1/36 = 1/18
-    u_c = P1Function(REF, np.zeros(3))
-    osc = oscillation(u_c, lambda x: x[..., 0], p=2.0)
-    assert osc[0] == pytest.approx(1.0 / 18.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -382,36 +437,44 @@ def test_aitken_input_validation():
 
 
 # ---------------------------------------------------------------------------
-# refined gap bounds
+# monotonicity bounds on the gap indicators
 # ---------------------------------------------------------------------------
 
+def _monotonicity_bounds(u_tilde, u_cr, z, density):
+    """Per-element ``B_A = int (Dphi(grad u_tilde) - Dphi(grad u_cr)) .
+    (grad u_tilde - grad u_cr)`` and ``B_D = int (Dphi*(z) - Dphi*(mean z))
+    . (z - mean z)`` (order-4 rule); by convexity they dominate ``eta_A_sq``
+    and ``eta_D_sq`` when ``z`` is the flux reconstructed from ``u_cr``."""
+    mesh = u_tilde.mesh
+    gt, gc = u_tilde.gradients(), u_cr.gradients()
+    b_a = mesh.areas * np.einsum(
+        "td,td->t", density.dphi(gt) - density.dphi(gc), gt - gc)
+    zvals = z.at_points(RULE_ORDER4.points(mesh.triangle_coords))
+    means = z.element_means()
+    b_d = integrate(RULE_ORDER4, mesh.areas, np.einsum(
+        "tqd,tqd->tq",
+        density.dphi_star(zvals) - density.dphi_star(means)[:, None, :],
+        zvals - means[:, None, :]))
+    return b_a, b_d
+
+
 def test_gap_bounds_p2_identities():
+    # at p = 2 both indicators are exactly half their monotonicity bounds
     mesh, f_h, density, u_cr, z, u_tilde = _converged_pair(p=2.0)
-    b_a, b_d = refined_gap_bounds(u_tilde, u_cr, z, density)
+    b_a, b_d = _monotonicity_bounds(u_tilde, u_cr, z, density)
     diff = u_tilde.gradients() - u_cr.gradients()
     expect_a = mesh.areas * np.sum(diff ** 2, axis=-1)
     assert np.allclose(b_a, expect_a, atol=1e-15)
-    bd = eta_sq(u_tilde, z, density, f_h)
+    bd = eta_hat_sq(u_tilde, z, density, f_h)
     assert np.allclose(bd.eta_A_sq, 0.5 * b_a, atol=1e-15)
     assert np.allclose(bd.eta_D_sq, 0.5 * b_d, atol=1e-14)
-
-
-def test_gap_bounds_conforming_candidate_zero():
-    mesh = make_lshape_mesh()
-    values = np.cos(mesh.vertices[:, 0] + 0.5 * mesh.vertices[:, 1])
-    u_tilde = P1Function(mesh, values)
-    # the same function as a (conforming) side-midpoint function
-    u_cr = CrFunction(mesh, 0.5 * values[mesh.sides].sum(axis=1))
-    z = _constant_field(mesh, [0.1, 0.2])
-    b_a, _ = refined_gap_bounds(u_tilde, u_cr, z, PPowerDensity(1.6))
-    assert np.allclose(b_a, 0.0, atol=1e-15)
 
 
 def test_gap_bounds_dominate_indicators():
     for p in (1.6, 1.2):
         mesh, f_h, density, u_cr, z, u_tilde = _converged_pair(p=p)
-        bd = eta_sq(u_tilde, z, density, f_h)
-        b_a, b_d = refined_gap_bounds(u_tilde, u_cr, z, density)
+        bd = eta_hat_sq(u_tilde, z, density, f_h)
+        b_a, b_d = _monotonicity_bounds(u_tilde, u_cr, z, density)
         scale = max(bd.eta_hat_sq_total, 1.0)
         assert np.all(bd.eta_A_sq <= b_a + 1e-10 * scale)
         assert np.all(bd.eta_D_sq <= b_d + 1e-10 * scale)
@@ -461,7 +524,7 @@ def test_gap_dominates_overkill_error_with_convexity_constant():
     exact_grad = _overkill_gradient_lookup(fine, fine_prob.function(fine_state),
                                            n_fine)
     rho = rho_F_sq(u_tilde, exact_grad, p=2.0)
-    bd = eta_sq(u_tilde, z, P2, f_coarse)
+    bd = eta_hat_sq(u_tilde, z, P2, f_coarse)
     assert np.all(bd.eta_A_sq >= 0.0)
     assert rho <= 2.0 * bd.eta_sq_total
     assert rho <= 2.0 * bd.eta_hat_sq_total

@@ -6,12 +6,9 @@ import numpy as np
 import pytest
 
 from pdgap.fespaces import (CrFunction, P1Function, PwConstantVector, Rt0Field,
-                            div, grad_h, ibp_residual, node_average,
-                            project_pw, prolong_cr, prolong_p1, side_jump,
-                            side_means, vector_jump, normal_jump,
-                            vertex_interpolate)
-from pdgap.mesh import Triangulation, make_lshape_mesh, refine
-from pdgap.quadrature import RULE_ORDER8, integrate
+                            ibp_residual, node_average, project_pw,
+                            prolong_cr, side_jump, vector_jump)
+from pdgap.mesh import make_lshape_mesh, refine
 
 
 def _affine(p):
@@ -32,7 +29,6 @@ def test_affine_reproduction(lshape):
     assert np.allclose(p1.element_means(), _affine(m.barycenters))
     assert np.allclose(cr.element_means(), _affine(m.barycenters))
     assert np.allclose(cr.triangle_vertex_values(), _affine(m.triangle_coords))
-    assert np.allclose(grad_h(cr).values, [2.0, -3.0])
 
 
 def test_at_points_matches_nodal_data(lshape):
@@ -57,7 +53,7 @@ def test_rt0_represents_global_linear_field(lshape):
     coeffs = np.einsum("sd,sd->s", field(m.side_midpoints), m.side_normals)
     z = Rt0Field(m, coeffs)
     assert np.allclose(z.element_means(), field(m.barycenters))
-    assert np.allclose(div(z).values, 2.0 * slope)
+    assert np.allclose(z.divergence().values, 2.0 * slope)
     assert np.allclose(z.at_triangle_vertices(), field(m.triangle_coords))
 
 
@@ -126,32 +122,6 @@ def test_vector_jump_conventions(lshape):
     vj = vector_jump(q)
     assert np.allclose(vj[m.interior_side_ids], 0.0)
     assert np.allclose(vj[m.boundary_side_ids], [1.0, 2.0])
-    nj = normal_jump(q)
-    assert np.allclose(nj[m.interior_side_ids], 0.0)
-
-
-def test_vertex_interpolate_overestimates_convex(lshape):
-    m = lshape
-
-    def g(p):
-        return p[..., 0] ** 2 + p[..., 1] ** 2
-
-    over = vertex_interpolate(m, g(m.triangle_coords))
-    exact = integrate(RULE_ORDER8, m.areas, g(RULE_ORDER8.points(m.triangle_coords)))
-    assert np.all(over - exact > -1e-15)
-    assert (over - exact).max() > 0
-
-
-def test_vertex_interpolate_reference_value():
-    """|x|^2 on the unit reference triangle: affine interpolant integrates to
-    1/3 while the exact integral is 1/6."""
-    ref = Triangulation(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-                        np.array([[0, 1, 2]]))
-    corner = ref.triangle_coords[..., 0] ** 2 + ref.triangle_coords[..., 1] ** 2
-    assert np.isclose(vertex_interpolate(ref, corner)[0], 1.0 / 3.0)
-    exact = integrate(RULE_ORDER8, ref.areas,
-                      (RULE_ORDER8.points(ref.triangle_coords) ** 2).sum(-1))
-    assert np.isclose(exact[0], 1.0 / 6.0)
 
 
 def test_node_average(lshape):
@@ -167,7 +137,7 @@ def test_node_average(lshape):
     corner = v.triangle_vertex_values()
     vid = int(np.flatnonzero(~m.dirichlet_vertex_mask)[0])
     inc = [(t, list(m.triangles[t]).index(vid))
-           for t in m.triangles_at_vertex(vid)]
+           for t in np.flatnonzero((m.triangles == vid).any(axis=1))]
     manual = np.mean([corner[t, i] for t, i in inc])
     assert np.isclose(forced.values[vid], manual)
 
@@ -178,37 +148,29 @@ def test_project_pw(lshape):
     direct = project_pw(m, np.arange(m.num_triangles, dtype=float))
     assert np.allclose(direct.values, np.arange(m.num_triangles))
     const = project_pw(m, lambda p: np.ones(p.shape[:-1]))
-    assert np.isclose(const.integral(), 3.0)
-
-
-def test_side_means_affine(lshape):
-    m = lshape
-    assert np.allclose(side_means(m, _affine), _affine(m.side_midpoints))
-    sub = m.boundary_side_ids
-    assert np.allclose(side_means(m, _affine, sub), _affine(m.side_midpoints[sub]))
+    assert np.isclose(m.areas @ const.values, 3.0)
 
 
 def test_prolongation_exact_for_members(lshape):
     m = lshape
     fine = refine(m, [0, 12, 40, 88])
-    p1 = P1Function(m, _affine(m.vertices))
     cr = CrFunction(m, _affine(m.side_midpoints))
-    assert np.allclose(prolong_p1(p1, fine).values, _affine(fine.vertices))
     assert np.allclose(prolong_cr(cr, fine).values, _affine(fine.side_midpoints))
-    # general P1 member: prolongation equals evaluation at new vertices
+    # a general P1 member, written as a CR function, is prolonged exactly:
+    # new vertices are coarse side midpoints, where it takes the side mean
     rng = np.random.default_rng(7)
-    w = P1Function(m, rng.standard_normal(m.num_vertices))
-    fine_w = prolong_p1(w, fine)
-    assert np.allclose(fine_w.values[:m.num_vertices], w.values)
-    # energy (Dirichlet form) is preserved for P1 under refinement
-    def dirichlet_energy(func):
-        g = func.gradients()
-        return float(func.mesh.areas @ np.einsum("td,td->t", g, g))
-    assert np.isclose(dirichlet_energy(w), dirichlet_energy(fine_w))
+    w = rng.standard_normal(m.num_vertices)
+    side_mean = w[m.sides].mean(axis=1)
+    at_midpoint = {tuple(x): v for x, v in zip(m.side_midpoints, side_mean)}
+    fine_w = np.concatenate((w, [at_midpoint[tuple(x)]
+                                 for x in fine.vertices[m.num_vertices:]]))
+    fine_cr = prolong_cr(CrFunction(m, side_mean), fine)
+    assert np.allclose(fine_cr.values, fine_w[fine.sides].mean(axis=1),
+                       rtol=0.0, atol=1e-14)
 
 
 def test_prolongation_requires_parent_map(lshape):
     other = make_lshape_mesh()
-    v = P1Function(lshape, np.zeros(lshape.num_vertices))
+    v = CrFunction(lshape, np.zeros(lshape.num_sides))
     with pytest.raises(ValueError, match="parent"):
-        prolong_p1(v, other)
+        prolong_cr(v, other)

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdgap.fespaces import CrFunction, prolong_cr
-from pdgap.mesh import (DIRICHLET, INTERIOR, NEUMANN, MeshError, Patch,
+from pdgap.mesh import (DIRICHLET, INTERIOR, NEUMANN, MeshError,
                         Triangulation, _side_keys, load_mesh,
-                        make_lshape_mesh, make_square_mesh, patch, refine,
+                        make_lshape_mesh, make_square_mesh, refine,
                         save_mesh, uniform_refine)
 
 LSHAPE_AREA = 3.0
@@ -78,8 +78,21 @@ def test_orientation_validation():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(MeshError, match="clockwise"):
         Triangulation(verts, np.array([[0, 2, 1]]))
-    fixed = Triangulation(verts, np.array([[0, 2, 1]]), fix_orientation=True)
-    assert fixed.areas[0] > 0
+    assert Triangulation(verts, np.array([[0, 1, 2]])).areas[0] > 0
+
+
+def test_cr_basis_gradients():
+    mesh = refine(make_lshape_mesh(), [3, 40, 77])
+    grads = mesh.cr_basis_gradients
+    assert np.array_equal(
+        grads, -2.0 * mesh.barycentric_gradients[:, [2, 0, 1], :])
+    # the CR basis functions of a triangle sum to one, and their gradients
+    # reproduce the gradient of an affine function from its midpoint values
+    assert np.allclose(grads.sum(axis=1), 0.0, atol=1e-12)
+    slope = np.array([0.7, -1.3])
+    values = mesh.side_midpoints[mesh.tri_sides] @ slope + 0.25
+    assert np.allclose(np.einsum("tj,tjd->td", values, grads), slope,
+                       rtol=0.0, atol=1e-12)
 
 
 def test_degenerate_triangle_rejected():
@@ -221,24 +234,6 @@ def test_interior_node_refinement(lshape):
         d2 = cross2(a - c, newv - c)
         strictly_inside = (d0 > 1e-13) & (d1 > 1e-13) & (d2 > 1e-13)
         assert strictly_inside.any()
-
-
-def test_patch(lshape):
-    for t in (0, 17, 60):
-        p = patch(lshape, t)
-        assert isinstance(p, Patch)
-        verts = set(lshape.triangles[t])
-        brute = sorted(i for i in range(lshape.num_triangles)
-                       if verts & set(lshape.triangles[i]))
-        assert list(p.elements) == brute
-        member = set(p.elements.tolist())
-        brute_sides = sorted(
-            s for s in range(lshape.num_sides)
-            if lshape.side_tris[s, 1] >= 0
-            and lshape.side_tris[s, 0] in member
-            and lshape.side_tris[s, 1] in member)
-        assert list(p.sides) == brute_sides
-        assert t in p.elements
 
 
 def test_save_load_roundtrip(tmp_path, lshape):

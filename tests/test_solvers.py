@@ -379,14 +379,15 @@ def test_inhomogeneous_dirichlet_affine_reproduction():
 # gradient flow
 # ---------------------------------------------------------------------------
 
-def test_recycled_solver_tracks_drifting_systems():
+def test_recycled_solver_tracks_drifting_systems(monkeypatch):
     from pdgap.solvers import _RecycledSpdSolver
 
+    monkeypatch.setattr(solvers, "_REFRESH_AFTER", 5)
     rng = np.random.default_rng(21)
     n = 120
     base = sp.diags([np.full(n - 1, -1.0), np.full(n, 4.0),
                      np.full(n - 1, -1.0)], [-1, 0, 1], format="csr")
-    solver = _RecycledSpdSolver(refresh_after=5)
+    solver = _RecycledSpdSolver()
     scale = 1.0
     for step in range(12):
         scale *= 1.3 if step % 3 else 3.0  # keep the factorization going stale
@@ -424,6 +425,34 @@ def test_recycled_solver_checks_the_true_residual_of_cg(monkeypatch):
     x = solver.solve(A * 1.01, b)
     assert len(factorizations) == 2
     assert np.linalg.norm(A * 1.01 @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("refresh_after, expected", [(1000, 1), (0, 3)])
+def test_recycled_solver_refreshes_after_slow_cg(monkeypatch, refresh_after,
+                                                 expected):
+    # a CG solve longer than _REFRESH_AFTER iterations drops the factor, so
+    # the next system is factorized afresh
+    from pdgap.solvers import _RecycledSpdSolver
+
+    n = 60
+    base = sp.diags([np.full(n - 1, -1.0), np.full(n, 4.0),
+                     np.full(n - 1, -1.0)], [-1, 0, 1], format="csr")
+    b = np.random.default_rng(9).standard_normal(n)
+    factorizations = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        factorizations.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(solvers.spla, "splu", counting_splu)
+    monkeypatch.setattr(solvers, "_REFRESH_AFTER", refresh_after)
+    solver = _RecycledSpdSolver()
+    for step in range(6):
+        A = base * (1.0 + 0.1 * step) + sp.eye(n)  # every CG needs a step
+        x = solver.solve(A, b)
+        assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+    assert len(factorizations) == expected
 
 
 def test_flow_matches_direct_solve_for_quadratic():

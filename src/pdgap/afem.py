@@ -298,9 +298,10 @@ def afem_run(problem: AfemProblem, cfg: AfemConfig,
     """Run the adaptive loop and record one trace row per iteration.
 
     Per iteration: minimize over the nonconforming space (warm-started from
-    the previous level by midpoint evaluation), reconstruct the dual flux,
-    build the conforming candidate, evaluate the guaranteed indicators and
-    energies, and record.  The loop then stops if the squared estimator
+    the previous level by midpoint evaluation), reconstruct the dual flux
+    from the stress of the solver's last linear solve (feasible whether or
+    not that solve reached the minimizer), build the conforming candidate,
+    evaluate the guaranteed indicators and energies, and record.  The loop then stops if the squared estimator
     total is at most ``cfg.eps_stop``, else marks (Doerfler on the
     configured indicators, or every element with ``cfg.uniform``) and
     refines.  A solver failure at any level stops the run with the rows
@@ -319,8 +320,12 @@ def afem_run(problem: AfemProblem, cfg: AfemConfig,
                                      dirichlet=problem.side_dirichlet(mesh))
         warm = (None if previous is None
                 else prolong_cr(previous, mesh).values)
+        vertex_dirichlet = problem.vertex_dirichlet(mesh)
+        options = dict(cfg.solver_options)
+        if cfg.solver == "flow":  # its stop test averages the iterate
+            options["vertex_dirichlet"] = vertex_dirichlet
         state, report = solve_problem(cr_problem, solver=cfg.solver,
-                                      u0=warm, **cfg.solver_options)
+                                      u0=warm, **options)
         if not report.converged:
             trace.failed = True
             trace.failure_reason = (
@@ -328,10 +333,11 @@ def afem_run(problem: AfemProblem, cfg: AfemConfig,
                 f"({report.stop_reason}, residual {report.residual_norms[-1]:.3e})")
             break
         u_cr = CrFunction(mesh, state)
-        flux = marini_reconstruct(u_cr, problem.density, f_h)
+        flux = marini_reconstruct(u_cr, problem.density, f_h,
+                                  stress=report.stress)
         candidate, conf_report = conforming_candidate(
             u_cr, problem.density, f_h, mode=cfg.conforming,
-            vertex_dirichlet=problem.vertex_dirichlet(mesh),
+            vertex_dirichlet=vertex_dirichlet,
             solver=cfg.solver, solver_options=cfg.solver_options)
         if conf_report is not None and not conf_report.converged:
             trace.failed = True

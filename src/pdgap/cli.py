@@ -408,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--tol-abs", dest="tol_abs", type=float, default=1e-8)
     run.add_argument("--tol-rel", dest="tol_rel", type=float, default=1e-10)
     run.add_argument("--tau", type=float, default=1.0,
-                     help="gradient flow step size")
+                     help="accepted, ignored (the flow solver is the "
+                          "Kacanov iteration, its tau -> infinity limit)")
     run.add_argument("--max-iter", dest="max_iter", type=int, default=None)
     return parser
 

@@ -32,7 +32,11 @@ KAPPA = 1e-10
 
 
 def _norm(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(np.asarray(a, dtype=float) ** 2, axis=-1))
+    """Euclidean norm over the last axis, of length 2.  The two-term sum is
+    bit-identical to ``np.sum(a ** 2, axis=-1)`` and avoids NumPy's slow
+    reduction over a short axis."""
+    a = np.asarray(a, dtype=float)
+    return np.sqrt(a[..., 0] ** 2 + a[..., 1] ** 2)
 
 
 def _safe_radial(rad_of_norm: np.ndarray, a: np.ndarray, r: np.ndarray) -> np.ndarray:

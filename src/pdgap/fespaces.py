@@ -66,7 +66,8 @@ class P1Function:
 
     def element_means(self) -> np.ndarray:
         """(nt,) integral means (= barycenter values)."""
-        return self.values[self.mesh.triangles].mean(axis=1)
+        g = self.values[self.mesh.triangles]
+        return (g[:, 0] + g[:, 1] + g[:, 2]) / 3.0
 
     def at_points(self, points: np.ndarray) -> np.ndarray:
         return _broken_affine_at(self.mesh, self.element_means(),
@@ -100,7 +101,8 @@ class CrFunction:
 
     def element_means(self) -> np.ndarray:
         """(nt,) integral means (= mean of the three midpoint values)."""
-        return self.values[self.mesh.tri_sides].mean(axis=1)
+        g = self.values[self.mesh.tri_sides]
+        return (g[:, 0] + g[:, 1] + g[:, 2]) / 3.0
 
     def at_points(self, points: np.ndarray) -> np.ndarray:
         return _broken_affine_at(self.mesh, self.element_means(),
@@ -112,7 +114,8 @@ class Rt0Field:
 
     ``coeffs[s]`` is the (constant) normal component of the field along side
     ``s`` with respect to the mesh's canonical side normal, so the normal
-    component is continuous across sides by construction.
+    component is continuous across sides by construction: ``mismatch``, the
+    per-side disagreement of the two adjacent normal components, is zero.
     """
 
     def __init__(self, mesh: Triangulation, coeffs):
@@ -120,6 +123,7 @@ class Rt0Field:
         self.coeffs = np.asarray(coeffs, dtype=float)
         if self.coeffs.shape != (mesh.num_sides,):
             raise ValueError("field coefficients must have one entry per side")
+        self.mismatch = np.zeros(mesh.num_sides)
 
     def element_linear(self) -> tuple[np.ndarray, np.ndarray]:
         """Elementwise form ``z(x) = a_T + b_T (x - x_T)``: (nt, 2) and (nt,)."""

@@ -1,20 +1,29 @@
-"""Explicit dual flux reconstruction from a nonconforming primal minimizer.
+"""Explicit dual flux reconstruction from a nonconforming primal solution.
 
-Given a Crouzeix-Raviart function u and an elementwise-constant load f_h,
-the reconstructed flux is, per element,
+Given a Crouzeix-Raviart function u, an elementwise-constant stress sigma
+and an elementwise-constant load f_h, the reconstructed flux is, per
+element,
 
-    z|_T(x) = dphi(grad u|_T) - f_T (x - x_T) / 2,
+    z|_T(x) = sigma_T - f_T (x - x_T) / 2,
 
 an elementwise affine field of lowest-order Raviart-Thomas form whose
-divergence equals ``-f_T`` and whose element mean equals ``dphi(grad u|_T)``
-*by construction*, independent of how well u solves the discrete problem.
-At an exact discrete minimizer the normal components match across sides, so
-the broken field is a genuine Raviart-Thomas field; the cross-element normal
-mismatch is therefore a solver-accuracy diagnostic, not an input.
+divergence equals ``-f_T`` and whose element mean equals ``sigma_T`` by
+construction.  By Marini's identity its normal components match across
+sides exactly when sigma solves a *linear* CR problem with load f_h, i.e.
+``sum_T |T| sigma_T . grad phi_S = int f_h phi_S`` for every free side
+basis function ``phi_S``.  The solvers hand back such a stress from their
+last linear solve (:attr:`~pdgap.solvers.SolverReport.stress`): the
+Kacanov step's ``a_n grad u^{n+1}`` or the Newton step's ``Dphi(grad u) +
+D2phi(grad u) grad delta``.  That flux is feasible for every iterate, not
+only at the discrete minimizer, and its normal mismatch is a roundoff
+diagnostic at the level of the linear solve's backward error.  The default
+stress ``Dphi(grad u)`` gives a feasible flux only at an exact discrete
+minimizer.
 
 A single coefficient per side is extracted by evaluating the normal
 component from the adjacent element with the smaller index.  The mismatch
-(larger-index candidate minus smaller-index candidate) is recorded.
+(larger-index candidate minus smaller-index candidate) is recorded, and the
+feasibility test of :mod:`pdgap.estimators` checks it.
 """
 
 from __future__ import annotations
@@ -56,8 +65,8 @@ class DualityReport:
     """Energies and elementwise optimality diagnostics for a primal/dual pair.
 
     ``gap = primal - dual`` is nonnegative up to roundoff whenever the dual
-    field satisfies the divergence constraint (weak duality); ``dual`` is
-    ``-inf`` (and the gap ``+inf``) when the constraint is violated.
+    field passes the feasibility test (weak duality); ``dual`` is ``-inf``
+    (and the gap ``+inf``) when it fails it.
     """
 
     primal: float                # discrete primal energy of u
@@ -76,33 +85,40 @@ class DualityReport:
 def _candidate_normal_fluxes(mesh, element_a, element_b) -> np.ndarray:
     """(nt, 3) normal flux of the broken field along each side's canonical
     normal, evaluated from inside each element (constant along the side)."""
-    mids = mesh.side_midpoints[mesh.tri_sides]            # (nt, 3, 2)
-    rel = mids - mesh.barycenters[:, None, :]
-    vals = element_a[:, None, :] + element_b[:, None, None] * rel
-    return np.einsum("tjd,tjd->tj", vals, mesh.side_normals[mesh.tri_sides])
+    sides = mesh.tri_sides
+    mids = mesh.side_midpoints[sides]                     # (nt, 3, 2)
+    b = element_b[:, None]
+    # one component at a time: the same arithmetic as the (nt, 3, 2) form
+    vx = element_a[:, None, 0] + b * (mids[..., 0] - mesh.barycenters[:, None, 0])
+    vy = element_a[:, None, 1] + b * (mids[..., 1] - mesh.barycenters[:, None, 1])
+    return vx * mesh.side_normals[sides, 0] + vy * mesh.side_normals[sides, 1]
 
 
-def marini_reconstruct(u: CrFunction, density, f_h: PwConstant) -> MariniField:
-    """Reconstruct the dual flux ``dphi(grad u) - f_h (x - x_T)/2``."""
+def marini_reconstruct(u: CrFunction, density, f_h: PwConstant,
+                       stress: np.ndarray | None = None) -> MariniField:
+    """Reconstruct the dual flux ``stress - f_h (x - x_T)/2``.
+
+    ``stress`` is the (nt, 2) elementwise stress of a linear CR solve, as
+    in :attr:`~pdgap.solvers.SolverReport.stress`; the default
+    ``dphi(grad u)`` is exact only at the discrete minimizer.
+    """
     mesh = u.mesh
     if f_h.mesh is not mesh:
         raise ValueError("load and function live on different meshes")
-    element_a = density.dphi(u.gradients())
+    element_a = density.dphi(u.gradients()) if stress is None \
+        else np.asarray(stress, dtype=float)
     element_b = -0.5 * f_h.values
 
     cand = _candidate_normal_fluxes(mesh, element_a, element_b)
+    # the canonical normal points out of the smaller-index element
+    # side_tris[:, 0], which is where tri_side_orient is +1
+    smaller = mesh.tri_side_orient > 0
     coeffs = np.zeros(mesh.num_sides)
-    other = np.zeros(mesh.num_sides)
-    # smaller-id extraction: side_tris[:, 0] is the smaller adjacent index
-    for col, target in ((0, coeffs), (1, other)):
-        tris = mesh.side_tris[:, col]
-        valid = tris >= 0
-        loc = np.argmax(mesh.tri_sides[tris[valid]]
-                        == np.flatnonzero(valid)[:, None], axis=1)
-        target[valid] = cand[tris[valid], loc]
+    coeffs[mesh.tri_sides[smaller]] = cand[smaller]
     mismatch = np.zeros(mesh.num_sides)
+    mismatch[mesh.tri_sides[~smaller]] = cand[~smaller]
     interior = mesh.side_tris[:, 1] >= 0
-    mismatch[interior] = other[interior] - coeffs[interior]
+    mismatch[interior] -= coeffs[interior]
     return MariniField(mesh, element_a, element_b, coeffs, mismatch)
 
 
@@ -125,17 +141,13 @@ def verify_discrete_optimality(u: CrFunction, z: Rt0Field, density,
     vanishes for homogeneous data): that is
     :func:`~pdgap.estimators.dual_energy` with ``quadrature="mean"``.
     """
-    mesh = u.mesh
     grads = u.gradients()
     means = z.element_means()
     mean_defect = means - density.dphi(grads)
     div_defect = z.divergence().values + f_h.values
     fy = density.phi(grads) + density.phi_star(means) \
         - np.einsum("td,td->t", grads, means)
-    jump = z.mismatch if isinstance(z, MariniField) \
-        else np.zeros(mesh.num_sides)  # glued fields are normal-continuous
-    interior = mesh.side_tris[:, 1] >= 0
-    max_jump = float(np.max(np.abs(jump[interior]))) if interior.any() else 0.0
+    max_jump = float(np.max(np.abs(z.mismatch), initial=0.0))
     primal = primal_energy(u, density, f_h)
     dual = dual_energy(z, density, f_h, boundary_values=u.values,
                        quadrature="mean")

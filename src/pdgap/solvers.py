@@ -10,9 +10,17 @@ vertex), with Dirichlet values eliminated.  Two solvers are provided:
 
 * :func:`newton_solve` -- damped Newton with Armijo backtracking on the
   energy, using the density's (possibly regularized) Hessian;
-* :func:`gradient_flow_solve` -- semi-implicit discrete gradient flow: a
-  lumped mass matrix damps a weighted-Laplacian (secant slope) iteration,
-  which decreases the energy monotonically for the densities used here.
+* :func:`gradient_flow_solve` -- the Kacanov iteration, the tau -> infinity
+  limit of the semi-implicit gradient flow: each step solves a
+  weighted-Laplacian (secant slope) system.
+
+On the CR space both report the elementwise stress of their last linear
+solve (:attr:`SolverReport.stress`).  It solves a *linear* CR problem, so by
+Marini's identity :func:`~pdgap.reconstruction.marini_reconstruct` turns it
+into a flux in H(div) with ``div z = -f_h``, up to the linear solve's
+backward error, however far the iterate is from the discrete minimizer.
+The CR Kacanov solve stops on the guaranteed discrete gap of that flux;
+Newton keeps its residual test.
 
 Every linear system either solver meets is symmetric positive definite.
 All of them are factorized the same way: SuperLU in symmetric mode, with a
@@ -34,9 +42,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .estimators import primal_energy
-from .fespaces import CrFunction, P1Function, PwConstant
+from .estimators import _guaranteed_parts, dual_energy, primal_energy
+from .fespaces import CrFunction, P1Function, PwConstant, node_average
 from .mesh import Triangulation
+from .reconstruction import marini_reconstruct
 
 __all__ = ["DiscreteProblem", "SolverReport", "newton_solve",
            "gradient_flow_solve", "solve_problem", "linear_solve"]
@@ -232,29 +241,26 @@ class DiscreteProblem:
             "tid,tde,tje->tij", self.basis_grads, d2, self.basis_grads)
         return self._assemble_free(local)
 
-    def weighted_stiffness(self, weights: np.ndarray,
-                           shift: np.ndarray) -> sp.csr_matrix:
-        """Stiffness matrix with elementwise weights, on the free unknowns,
-        plus ``shift`` (one value per free unknown) on the diagonal.
+    def weighted_stiffness(self, weights: np.ndarray) -> sp.csr_matrix:
+        """Stiffness matrix with elementwise weights, on the free unknowns.
 
         The matrix is symmetric entry for entry, so its transpose is its CSC
         form.
         """
         local = (self.mesh.areas * weights)[:, None, None] * np.einsum(
             "tid,tjd->tij", self.basis_grads, self.basis_grads)
-        return self._assemble_free(local, shift)
+        return self._assemble_free(local)
 
     @cached_property
     def _free_pattern(self):
         """CSR pattern of the free-dof matrix and the slot of each entry.
 
-        Returns ``(indptr, indices, entries, slots, diagonal)``: the local
-        entries at flat positions ``entries`` of the ``(nt, 3, 3)`` local
-        matrices are those coupling two free unknowns, and each is summed
-        into ``data[slots]`` of the CSR matrix with sorted column indices;
-        ``data[diagonal]`` is the diagonal.  The index arrays already have
-        SciPy's index dtype, so building a matrix from them converts
-        nothing.
+        Returns ``(indptr, indices, entries, slots)``: the local entries at
+        flat positions ``entries`` of the ``(nt, 3, 3)`` local matrices are
+        those coupling two free unknowns, and each is summed into
+        ``data[slots]`` of the CSR matrix with sorted column indices.  The
+        index arrays already have SciPy's index dtype, so building a matrix
+        from them converts nothing.
         """
         nfree = int(self.free_mask.sum())
         number = np.full(self.num_dofs, -1)
@@ -270,26 +276,15 @@ class DiscreteProblem:
                   out=indptr[1:])
         pattern = sp.csr_matrix((np.empty(unique.size), unique % nfree,
                                  indptr), shape=(nfree, nfree))
-        diagonal = np.flatnonzero(unique // nfree == unique % nfree)
-        return pattern.indptr, pattern.indices, entries, slots, diagonal
+        return pattern.indptr, pattern.indices, entries, slots
 
-    def _assemble_free(self, local: np.ndarray,
-                       shift: np.ndarray | None = None) -> sp.csr_matrix:
-        indptr, indices, entries, slots, diagonal = self._free_pattern
+    def _assemble_free(self, local: np.ndarray) -> sp.csr_matrix:
+        indptr, indices, entries, slots = self._free_pattern
         data = np.bincount(slots, weights=local.ravel()[entries],
                            minlength=indices.size)
-        if shift is not None:
-            data[diagonal] += shift
         n = indptr.size - 1
         return sp.csr_matrix((data, indices.copy(), indptr.copy()),
                              shape=(n, n))
-
-    def lumped_mass(self) -> np.ndarray:
-        """Diagonal (lumped) mass: |T|/3 from each incident element."""
-        out = np.zeros(self.num_dofs)
-        np.add.at(out, self.dof_map.ravel(),
-                  np.repeat(self.mesh.areas / 3.0, 3))
-        return out
 
     def residual_norm(self, u: np.ndarray) -> float:
         return float(np.linalg.norm(self.gradient(u)[self.free_mask]))
@@ -311,6 +306,10 @@ class SolverReport:
     residual_norms: list[float] = field(default_factory=list)
     energies: list[float] = field(default_factory=list)
     stop_reason: str = ""
+    #: (nt, 2) elementwise stress of the last linear solve (CR space only):
+    #: ``marini_reconstruct(u, density, f_h, stress=stress)`` is a flux in
+    #: RT0 with ``div z = -f_h``, whether or not the solve converged.
+    stress: np.ndarray | None = None
 
 
 def newton_solve(problem: DiscreteProblem, u0=None, tol_abs: float = 1e-8,
@@ -325,6 +324,12 @@ def newton_solve(problem: DiscreteProblem, u0=None, tol_abs: float = 1e-8,
     ``1e-4 * t * slope`` vanishes against the energy in floating point, the
     energy cannot rank the trials, and a trial is accepted if it lowers the
     free-residual norm instead.
+
+    On the CR space the report's ``stress`` is that of the last Newton
+    system ``D2I(u) delta = -DI(u)``: ``Dphi(grad u) + D2phi(grad u) grad
+    delta``, taken for the full step ``delta`` whatever damping or descent
+    fallback was then applied.  A start that meets the tolerance solves one
+    such system for it.
     """
     u = problem.initial_state() if u0 is None else problem.impose_dirichlet(u0)
     free = problem.free_mask
@@ -335,6 +340,7 @@ def newton_solve(problem: DiscreteProblem, u0=None, tol_abs: float = 1e-8,
     iterations = 0
     best_u, best_norm = u, res0
     reason = "residual below tolerance"
+    linearized = None  # (u, step) of the last linear solve
     while norms[-1] > threshold:
         if iterations >= max_iter:
             reason = "iteration limit reached"
@@ -342,6 +348,7 @@ def newton_solve(problem: DiscreteProblem, u0=None, tol_abs: float = 1e-8,
             break
         grad = problem.gradient(u)[free]
         step = linear_solve(problem.hessian(u), -grad)
+        linearized = (u, step)
         slope = float(grad @ step)
         if slope >= 0:  # not a descent direction; fall back to steepest descent
             step = -grad
@@ -374,31 +381,70 @@ def newton_solve(problem: DiscreteProblem, u0=None, tol_abs: float = 1e-8,
     final_energy = problem.energy(u) if reason == "iteration limit reached" \
         else energies[-1]
     converged = final_norm <= threshold
+    stress = None
+    if problem.space == "cr":
+        if linearized is None:
+            linearized = (u, linear_solve(problem.hessian(u),
+                                          -problem.gradient(u)[free]))
+        stress = _newton_stress(problem, *linearized)
     report = SolverReport(method="newton", converged=converged,
                           iterations=iterations, energy=final_energy,
                           residual_norms=norms, energies=energies,
-                          stop_reason=reason)
+                          stop_reason=reason, stress=stress)
     return u, report
 
 
-def gradient_flow_solve(problem: DiscreteProblem, u0=None, tau: float = 1.0,
-                        eps_stop: float | None = None,
-                        max_iter: int = 500) -> tuple[np.ndarray, SolverReport]:
-    """Semi-implicit gradient flow / damped secant-slope iteration.
+def _newton_stress(problem: DiscreteProblem, u: np.ndarray,
+                   step: np.ndarray) -> np.ndarray:
+    """``Dphi(grad u) + D2phi(grad u) grad delta`` for the free-dof step."""
+    delta = np.zeros(problem.num_dofs)
+    delta[problem.free_mask] = step
+    grads = problem.broken_gradient(u)
+    return problem.density.dphi(grads) + np.einsum(
+        "tde,te->td", problem.density.d2phi(grads),
+        problem.broken_gradient(delta))
 
-    Each step solves ``(M/tau + K_n) u^{n+1} = (M/tau) u^n + b`` on the free
-    unknowns, where ``M`` is the lumped mass matrix, ``K_n`` the stiffness
-    matrix weighted by the secant slopes ``psi'(|grad u^n|)/|grad u^n|``, and
-    ``b`` the load (with Dirichlet elimination).  Stops when the broken H1
-    seminorm of the increment per unit time drops below ``eps_stop``
-    (default: the squared average element diameter divided by 20).
+
+#: Stop factor of the CR Kacanov solve: it stops once the discrete gap of
+#: its iterate is at most ``GAMMA`` times the estimate that iterate feeds.
+GAMMA = 0.01
+
+
+def gradient_flow_solve(problem: DiscreteProblem, u0=None, tau: float = 1.0,
+                        eps_stop: float | None = None, max_iter: int = 500,
+                        vertex_dirichlet: np.ndarray | None = None,
+                        ) -> tuple[np.ndarray, SolverReport]:
+    """Kacanov iteration, the tau -> infinity limit of the gradient flow.
+
+    Each step solves ``K(a_n) u^{n+1} = b`` on the free unknowns, where
+    ``K(a_n)`` is the stiffness matrix weighted by the secant slopes
+    ``a_n = psi'(|grad u^n|)/|grad u^n|`` and ``b`` the load (with Dirichlet
+    elimination).  The energy never increases when ``psi'(t)/t`` is
+    nonincreasing (optimal design, p <= 2).  ``tau``, the step size of the
+    gradient flow, is accepted and ignored.
+
+    On the CR space the step's stress ``a_n grad u^{n+1}`` is a linear CR
+    solution's, so the flux ``z^{n+1} = a_n grad u^{n+1} - f_T (x - x_T)/2``
+    is in RT0 with ``div z = -f_h`` (Marini's identity), and its discrete
+    gap ``eta_lin = I_h(u^{n+1}) - D_h(z^{n+1})`` (``D_h``: the
+    ``quadrature="mean"`` dual energy) bounds ``I_h(u^{n+1}) - min I_h``.
+    Unless ``eps_stop`` is given, the solve stops once ``eta_lin <= GAMMA
+    eta_bar^2`` (up to roundoff) with ``GAMMA = 0.01``, where ``eta_bar^2``
+    is the :func:`~pdgap.estimators.eta_hat_sq` total of the vertex average of
+    ``u^{n+1}`` (Dirichlet vertices set to ``vertex_dirichlet``, default
+    zero) against ``z^{n+1}``.  The report's ``stress`` is the last step's.
+
+    The P1 space has no cheap discrete dual.  There, and on either space
+    when ``eps_stop`` is given, the solve stops once the broken H1 seminorm
+    of the increment is at most ``eps_stop`` (default: the squared average
+    element diameter divided by 20).
     """
     mesh = problem.mesh
+    gap_rule = problem.space == "cr" and eps_stop is None
     if eps_stop is None:
         eps_stop = float(mesh.diameters.mean()) ** 2 / 20.0
     u = problem.initial_state() if u0 is None else problem.impose_dirichlet(u0)
     free = np.flatnonzero(problem.free_mask)
-    mass = problem.lumped_mass()[free]
     load_vec = np.zeros(problem.num_dofs)
     np.add.at(load_vec, problem.dof_map.ravel(),
               np.repeat(mesh.areas * problem.load.values / 3.0, 3))
@@ -406,38 +452,67 @@ def gradient_flow_solve(problem: DiscreteProblem, u0=None, tau: float = 1.0,
     coupling = _fixed_value_coupling(problem)
 
     energies = [problem.energy(u)]
-    rate = np.inf
     steps = 0
-    reason = "increment rate below tolerance"
+    stress = None
     step_solver = _RecycledSpdSolver()
     while True:
         slopes = problem.density.slope_ratio(
             np.sqrt(np.sum(problem.broken_gradient(u) ** 2, axis=-1)))
-        A = problem.weighted_stiffness(slopes, mass / tau)
+        A = problem.weighted_stiffness(slopes)
         # couplings across right angles vanish exactly; stored zeros would
         # still enter the fill-reducing ordering
         A.eliminate_zeros()
-        rhs = load_vec[free] + mass * u[free] / tau
+        rhs = load_vec[free]
         if coupling is not None:
             rhs -= _weighted_form_fixed_part(problem, slopes, coupling)
         unew = u.copy()
         unew[free] = step_solver.solve(A.T, rhs)  # A is symmetric
-        delta = unew - u
-        rate = problem.increment_seminorm(delta) / tau
-        u = unew
         steps += 1
-        energies.append(problem.energy(u))
-        if rate <= eps_stop:
+        energies.append(problem.energy(unew))
+        if problem.space == "cr":
+            stress = slopes[:, None] * problem.broken_gradient(unew)
+        if gap_rule:
+            converged = _gap_below_tolerance(problem, unew, stress,
+                                             energies[-1], vertex_dirichlet)
+        else:
+            converged = problem.increment_seminorm(unew - u) <= eps_stop
+        u = unew
+        if converged or steps >= max_iter:
             break
-        if steps >= max_iter:
-            reason = "iteration limit reached"
-            break
-    report = SolverReport(method="flow", converged=rate <= eps_stop,
+    reason = ("iteration limit reached" if not converged
+              else "discrete gap below tolerance" if gap_rule
+              else "increment below tolerance")
+    report = SolverReport(method="flow", converged=converged,
                           iterations=steps, energy=energies[-1],
                           energies=energies,
                           residual_norms=[problem.residual_norm(u)],
-                          stop_reason=reason)
+                          stop_reason=reason, stress=stress)
     return u, report
+
+
+def _gap_below_tolerance(problem: DiscreteProblem, u: np.ndarray,
+                         stress: np.ndarray, energy: float,
+                         vertex_dirichlet: np.ndarray | None) -> bool:
+    """The stop test ``eta_lin <= GAMMA eta_bar^2`` of the CR Kacanov solve
+    (see :func:`gradient_flow_solve`); ``energy`` is ``I_h(u)``.
+
+    A roundoff allowance of ``1e-12 (|I_h| + |D_h|)`` lets a level that is
+    solved exactly (``eta_bar^2 = 0``, e.g. an affine solution) stop.  A
+    flux that fails the feasibility test never stops the solve.
+    """
+    u_cr = CrFunction(problem.mesh, u)
+    z = marini_reconstruct(u_cr, problem.density, problem.load, stress=stress)
+    dual = dual_energy(z, problem.density, problem.load, boundary_values=u,
+                       quadrature="mean")
+    if not np.isfinite(dual):
+        return False
+    gv = (np.zeros(problem.mesh.num_vertices) if vertex_dirichlet is None
+          else vertex_dirichlet)
+    # eta_hat_sq of the averaged candidate, without the diagnostic parts
+    eta_A, eta_D_hat, _ = _guaranteed_parts(
+        node_average(u_cr, dirichlet_values=gv), z, problem.density)
+    roundoff = 1e-12 * (abs(energy) + abs(dual))
+    return energy - dual <= GAMMA * float(np.sum(eta_A + eta_D_hat)) + roundoff
 
 
 def _fixed_value_coupling(problem: DiscreteProblem) -> np.ndarray | None:

@@ -106,11 +106,12 @@ def power_runs():
 
 @pytest.fixture(scope="module")
 def design_run():
-    """20-iteration adaptive optimal-design run driven by gradient flow.
+    """20-iteration adaptive optimal-design run driven by the flow solver
+    (the Kacanov iteration).
 
-    ``max_iter`` only raises the per-level iteration cap (the finest level
-    needs several hundred flow steps); the flow stopping tolerance keeps its
-    mesh-size-dependent default.
+    ``max_iter`` only raises the per-level iteration cap; the stop rules
+    keep their defaults (the discrete-gap rule on CR, the mesh-size
+    increment rule on P1).
     """
     return _adaptive_run(problem="optimal-design", solver="flow",
                          solver_options={"max_iter": 3000})

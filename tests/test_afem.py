@@ -211,6 +211,23 @@ def test_flow_solver_keeps_weak_duality():
     assert np.all(np.isfinite(trace.column("D_dual")))
 
 
+def test_flow_solver_stops_on_an_exactly_solved_level():
+    # affine boundary data and no load: every level is solved exactly, so
+    # the estimate is roundoff and the stop rule must allow for it
+    def affine(x):
+        return 0.3 * x[..., 0] - 0.7 * x[..., 1] + 0.2
+
+    problem = AfemProblem(mesh=make_lshape_mesh(),
+                          density=OptimalDesignDensity(1.0, 2.0, 0.0145),
+                          load=0.0, dirichlet=affine)
+    cfg = AfemConfig(max_iterations=3, solver="flow",
+                     solver_options={"max_iter": 50})
+    trace = afem_run(problem, cfg)
+    assert not trace.failed and len(trace.records) == 3
+    assert np.all(np.abs(trace.column("discrete_gap")) <= 1e-12)
+    assert np.all(trace.column("eta_hat_sq") <= 1e-12)
+
+
 def test_reference_energy_populates_error_column():
     problem = AfemProblem(mesh=make_square_mesh(2), density=P2, load=1.0,
                           reference_energy=-1.0)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pdgap.energy_models import (KAPPA, OptimalDesignDensity, PPowerDensity,
-                                 check_fenchel_young, fmap)
+                                 _norm, check_fenchel_young, fmap)
 
 P_VALUES = (1.2, 1.6, 2.0, 3.0)
 
@@ -170,3 +170,10 @@ def test_fmap():
         assert np.allclose(cosine, 1.0)
     assert np.allclose(fmap(1.6, np.zeros(2)), 0.0)
 
+
+
+def test_norm_bit_identical_to_axis_sum():
+    rng = np.random.default_rng(13)
+    for shape in ((7, 2), (50, 3, 2), (2,)):
+        a = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        assert np.array_equal(_norm(a), np.sqrt(np.sum(a ** 2, axis=-1)))

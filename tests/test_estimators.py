@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from pdgap.energy_models import OptimalDesignDensity, PPowerDensity
-from pdgap.estimators import (_feasible, aitken_extrapolate, dual_energy,
-                              eta_hat_sq, eta_res_sq, primal_energy, rho_F_sq,
-                              rho_I_sq)
+from pdgap.estimators import (_feasible, _vertex_rule_conjugate,
+                              aitken_extrapolate, dual_energy, eta_hat_sq,
+                              eta_res_sq, primal_energy, rho_F_sq, rho_I_sq)
 from pdgap.fespaces import (CrFunction, P1Function, PwConstant, Rt0Field,
                             node_average)
 from pdgap.mesh import (Triangulation, make_lshape_mesh, make_square_mesh,
                         uniform_refine)
 from pdgap.quadrature import RULE_ORDER4, RULE_ORDER8, integrate
-from pdgap.reconstruction import marini_reconstruct, verify_discrete_optimality
-from pdgap.solvers import DiscreteProblem, newton_solve
+from pdgap.reconstruction import (MariniField, marini_reconstruct,
+                                  verify_discrete_optimality)
+from pdgap.solvers import DiscreteProblem, gradient_flow_solve, newton_solve
 
 REF = Triangulation(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                     np.array([[0, 1, 2]]))
@@ -97,9 +98,12 @@ def test_breakdown_invariants_random_pairs():
     mesh = uniform_refine(make_lshape_mesh(), 1)
     f_h = PwConstant(mesh, np.ones(mesh.num_triangles))
     for density in (PPowerDensity(1.6), OptimalDesignDensity()):
+        prob = DiscreteProblem(mesh, density, f_h, space="cr")
         for _ in range(5):
             u_cr = CrFunction(mesh, rng.normal(size=mesh.num_sides))
-            z = marini_reconstruct(u_cr, density, f_h)  # feasible by design
+            # one Kacanov step from a random state: feasible, far from optimal
+            _, rep = gradient_flow_solve(prob, u0=u_cr.values, max_iter=1)
+            z = marini_reconstruct(u_cr, density, f_h, stress=rep.stress)
             u_tilde = P1Function(mesh, rng.normal(size=mesh.num_vertices))
             bd = eta_hat_sq(u_tilde, z, density, f_h)
             scale = max(bd.eta_hat_sq_total, 1.0)
@@ -136,6 +140,13 @@ def test_dual_energy_closed_forms():
     assert dual_energy(z, P2, f_h) == pytest.approx(expected, abs=1e-14)
 
 
+def test_vertex_rule_bit_identical_to_numpy_mean():
+    mesh, f_h, density, u_cr, z, u_tilde = _converged_pair()
+    assert np.array_equal(
+        _vertex_rule_conjugate(z, density),
+        density.phi_star(z.at_triangle_vertices()).mean(axis=1))
+
+
 def test_dual_energy_vertex_rule_is_lower_bound():
     # Jensen: the corner mean of phi*(z) is at least phi* of the element mean
     mesh, f_h, density, u_cr, z, u_tilde = _converged_pair()
@@ -162,37 +173,56 @@ def _with_divergence_defect(z0, f_h, ratio):
     return z, defect / tol
 
 
+def _with_normal_mismatch(z0, ratio):
+    """``z0`` as a broken field whose normal components disagree on one
+    interior side by ``ratio`` times the feasibility tolerance."""
+    mesh = z0.mesh
+    tol = 1e-10 * (1.0 + float(np.max(np.abs(z0.coeffs))))
+    mismatch = np.zeros(mesh.num_sides)
+    mismatch[mesh.interior_side_ids[0]] = ratio * tol
+    a, b = z0.element_linear()
+    z = MariniField(mesh, a, b, z0.coeffs, mismatch)
+    return z, float(np.max(np.abs(z.mismatch))) / tol
+
+
 @pytest.mark.parametrize("ratio", [0.5, 2.0])
 def test_feasibility_boundary_agrees_across_entry_points(ratio):
+    # one defect at a time, the divergence or the normal mismatch, just
+    # inside or just outside the tolerance of the one feasibility test
     mesh = uniform_refine(make_lshape_mesh(), 1)
     z0 = Rt0Field(mesh, np.einsum("sd,sd->s", -0.5 * mesh.side_midpoints,
                                   mesh.side_normals))     # z0 = -x/2
     # the load is minus the computed divergence, so z0 has no defect at all
     f_h = PwConstant(mesh, -z0.divergence().values)
-    z, measured = _with_divergence_defect(z0, f_h, ratio)
-    assert measured == pytest.approx(ratio, rel=1e-3)
+    assert _feasible(z0, f_h)
     feasible = ratio < 1.0
-    assert _feasible(z, f_h) is feasible
-
     rng = np.random.default_rng(3)
     density = PPowerDensity(1.6)
     u_cr = CrFunction(mesh, rng.normal(size=mesh.num_sides))
     u_tilde = P1Function(mesh, rng.normal(size=mesh.num_vertices))
-    for quadrature in ("vertex", "mean"):
-        value = dual_energy(z, density, f_h, quadrature=quadrature)
-        assert np.isfinite(value) if feasible else value == -np.inf
-    bd = eta_hat_sq(u_tilde, z, density, f_h)
-    for part in (bd.eta_A_sq, bd.eta_D_sq, bd.eta_D_hat_sq, bd.eta_sq,
-                 bd.eta_hat_sq):
-        assert np.all(np.isfinite(part)) if feasible \
-            else np.all(part == np.inf)
-    report = verify_discrete_optimality(u_cr, z, density, f_h)
-    assert report.max_div_defect == pytest.approx(
-        measured * 1e-10 * (1.0 + np.max(np.abs(f_h.values))), rel=1e-12)
-    if feasible:
-        assert np.isfinite(report.dual) and np.isfinite(report.gap)
-    else:
-        assert report.dual == -np.inf and report.gap == np.inf
+    div_tol = 1e-10 * (1.0 + np.max(np.abs(f_h.values)))
+    jump_tol = 1e-10 * (1.0 + np.max(np.abs(z0.coeffs)))
+    cases = ((*_with_divergence_defect(z0, f_h, ratio), "max_div_defect",
+              div_tol),
+             (*_with_normal_mismatch(z0, ratio), "max_flux_jump", jump_tol))
+    for z, measured, diagnostic, tol in cases:
+        assert measured == pytest.approx(ratio, rel=1e-3)
+        assert _feasible(z, f_h) is feasible
+        for quadrature in ("vertex", "mean"):
+            value = dual_energy(z, density, f_h, quadrature=quadrature)
+            assert np.isfinite(value) if feasible else value == -np.inf
+        bd = eta_hat_sq(u_tilde, z, density, f_h)
+        for part in (bd.eta_A_sq, bd.eta_D_sq, bd.eta_D_hat_sq, bd.eta_sq,
+                     bd.eta_hat_sq):
+            assert np.all(np.isfinite(part)) if feasible \
+                else np.all(part == np.inf)
+        report = verify_discrete_optimality(u_cr, z, density, f_h)
+        assert getattr(report, diagnostic) == pytest.approx(measured * tol,
+                                                            rel=1e-12)
+        if feasible:
+            assert np.isfinite(report.dual) and np.isfinite(report.gap)
+        else:
+            assert report.dual == -np.inf and report.gap == np.inf
 
 
 @pytest.mark.parametrize("space", ["cr", "p1"])
@@ -218,7 +248,8 @@ def test_one_primal_energy_kernel(space, density):
         energy = prob.energy(u)
         assert energy == primal_energy(v, density, f_h) == inline
         if space == "cr":
-            z = marini_reconstruct(v, density, f_h)
+            _, rep = gradient_flow_solve(prob, u0=u, max_iter=1)
+            z = marini_reconstruct(v, density, f_h, stress=rep.stress)
             report = verify_discrete_optimality(v, z, density, f_h)
             assert report.primal == energy
             diri = np.flatnonzero(mesh.dirichlet_side_mask)

@@ -174,3 +174,15 @@ def test_prolongation_requires_parent_map(lshape):
     v = CrFunction(lshape, np.zeros(lshape.num_sides))
     with pytest.raises(ValueError, match="parent"):
         prolong_cr(v, other)
+
+
+def test_element_means_equal_numpy_mean():
+    # the explicit three-term sum is bit-identical to .mean(axis=1)
+    mesh = refine(make_lshape_mesh(), np.arange(0, 24, 2))
+    rng = np.random.default_rng(11)
+    p1 = P1Function(mesh, rng.standard_normal(mesh.num_vertices))
+    cr = CrFunction(mesh, rng.standard_normal(mesh.num_sides))
+    assert np.array_equal(p1.element_means(),
+                          p1.values[mesh.triangles].mean(axis=1))
+    assert np.array_equal(cr.element_means(),
+                          cr.values[mesh.tri_sides].mean(axis=1))

@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pdgap.energy_models import PPowerDensity
-from pdgap.fespaces import CrFunction, PwConstant, Rt0Field
-from pdgap.mesh import Triangulation, make_lshape_mesh, uniform_refine
+from pdgap.energy_models import OptimalDesignDensity, PPowerDensity
+from pdgap.estimators import dual_energy, primal_energy
+from pdgap.fespaces import CrFunction, PwConstant, Rt0Field, node_average
+from pdgap.mesh import (Triangulation, make_lshape_mesh, refine,
+                        uniform_refine)
 from pdgap.reconstruction import (MariniField, flux_mismatch,
                                   marini_reconstruct,
                                   verify_discrete_optimality)
-from pdgap.solvers import DiscreteProblem, newton_solve
+from pdgap.solvers import DiscreteProblem, newton_solve, solve_problem
 
 REF = Triangulation(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                     np.array([[0, 1, 2]]))
@@ -85,6 +89,34 @@ def test_smaller_index_extraction_and_mismatch_sign():
     assert z.mismatch[diag] == pytest.approx((grads[t1] - grads[t0]) @ n,
                                              abs=1e-14)
     assert np.array_equal(flux_mismatch(z), z.mismatch)
+
+
+def test_extraction_bit_identical_to_reference_loop():
+    # the (nt, 3, 2) candidate normal fluxes and the argmax search for the
+    # local side index, as the reference for the vectorized forms
+    rng = np.random.default_rng(17)
+    mesh, f_h = _lshape_load(level=1)
+    f_h = PwConstant(mesh, rng.normal(size=mesh.num_triangles))
+    u = CrFunction(mesh, rng.normal(size=mesh.num_sides))
+    z = marini_reconstruct(u, PPowerDensity(1.6), f_h)
+    a, b = z.element_linear()
+    rel = mesh.side_midpoints[mesh.tri_sides] - mesh.barycenters[:, None, :]
+    cand = np.einsum("tjd,tjd->tj", a[:, None, :] + b[:, None, None] * rel,
+                     mesh.side_normals[mesh.tri_sides])
+    picked = []
+    for col in (0, 1):
+        tris = mesh.side_tris[:, col]
+        valid = tris >= 0
+        loc = np.argmax(mesh.tri_sides[tris[valid]]
+                        == np.flatnonzero(valid)[:, None], axis=1)
+        values = np.zeros(mesh.num_sides)
+        values[valid] = cand[tris[valid], loc]
+        picked.append(values)
+    interior = mesh.side_tris[:, 1] >= 0
+    mismatch = np.zeros(mesh.num_sides)
+    mismatch[interior] = picked[1][interior] - picked[0][interior]
+    assert np.array_equal(z.coeffs, picked[0])
+    assert np.array_equal(z.mismatch, mismatch)
 
 
 def test_converged_minimizer_has_continuous_normal_flux():
@@ -174,3 +206,57 @@ def test_marini_field_is_rt0_subclass():
     assert isinstance(z, MariniField)
     assert isinstance(z, Rt0Field)
     assert z.coeffs.shape == (mesh.num_sides,)
+
+
+_LSHAPE = make_lshape_mesh()
+
+
+@st.composite
+def _refined_lshapes(draw):
+    """The L-shape with permuted vertex and triangle numbers, random D/N
+    boundary labels (at least one D), and two rounds of random marking."""
+    order = np.array(draw(st.permutations(range(_LSHAPE.num_vertices))))
+    new_id = np.argsort(order)
+    triangles = new_id[_LSHAPE.triangles][
+        np.array(draw(st.permutations(range(_LSHAPE.num_triangles))))]
+    boundary = _LSHAPE.sides[_LSHAPE.boundary_side_ids]
+    labels = draw(st.lists(st.sampled_from("DN"), min_size=len(boundary),
+                           max_size=len(boundary)))
+    labels[draw(st.integers(0, len(labels) - 1))] = "D"
+    mesh = Triangulation(_LSHAPE.vertices[order], triangles, {
+        tuple(sorted(new_id[pair].tolist())): lab
+        for pair, lab in zip(boundary, labels)})
+    for _ in range(2):
+        marked = draw(st.sets(st.integers(0, mesh.num_triangles - 1),
+                              min_size=1, max_size=12))
+        mesh = refine(mesh, sorted(marked))
+    return mesh
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(mesh=_refined_lshapes(),
+       density=st.one_of(st.just(OptimalDesignDensity()),
+                         st.floats(1.1, 3.0).map(PPowerDensity)),
+       solver=st.sampled_from(["flow", "newton"]),
+       max_iter=st.integers(1, 5))
+def test_capped_solve_keeps_the_bracket(mesh, density, solver, max_iter):
+    # however early the solve stops, the flux of its last linear solve is
+    # feasible, so the averaged candidate and that flux bracket the energy
+    f_h = PwConstant(mesh, np.ones(mesh.num_triangles))
+    prob = DiscreteProblem(mesh, density, f_h, space="cr")
+    u, report = solve_problem(prob, solver=solver, max_iter=max_iter)
+    u_cr = CrFunction(mesh, u)
+    z = marini_reconstruct(u_cr, density, f_h, stress=report.stress)
+    candidate = node_average(u_cr,
+                             dirichlet_values=np.zeros(mesh.num_vertices))
+    trace = candidate.values[mesh.sides].mean(axis=1)
+    dual = dual_energy(z, density, f_h, boundary_values=trace)
+    assert dual <= primal_energy(candidate, density, f_h)
+    continuous = (np.max(np.abs(z.mismatch))
+                  <= 1e-10 * np.max(np.abs(z.coeffs)))
+    if solver == "newton" and isinstance(density, OptimalDesignDensity):
+        # the plateau Hessian is singular, so a Newton system may have no
+        # solution and its flux no continuity; the feasibility test says so
+        assert continuous or dual == -np.inf
+    else:
+        assert continuous

@@ -9,9 +9,11 @@ import scipy.sparse.linalg as spla
 
 import pdgap.solvers as solvers
 from pdgap.energy_models import OptimalDesignDensity, PPowerDensity
-from pdgap.fespaces import PwConstant
+from pdgap.estimators import _feasible, dual_energy, eta_hat_sq
+from pdgap.fespaces import PwConstant, node_average
 from pdgap.mesh import Triangulation, make_lshape_mesh, refine, uniform_refine
 from pdgap.quadrature import RULE_ORDER4, integrate
+from pdgap.reconstruction import marini_reconstruct
 from pdgap.solvers import (DiscreteProblem, gradient_flow_solve, linear_solve,
                            newton_solve, solve_problem)
 
@@ -176,19 +178,21 @@ def test_assemble_free_bit_identical_to_coo_reference(space):
 
 
 @pytest.mark.parametrize("space", ["cr", "p1"])
-def test_flow_step_matrix_bit_identical_to_diagonal_sum(space):
+def test_flow_step_matrix_transpose_is_its_csc_form(space):
+    # the Kacanov step hands A.T to the solver instead of converting A
     mesh = _corner_refined_lshape()
     rng = np.random.default_rng(23)
     prob = DiscreteProblem(mesh, OptimalDesignDensity(),
                            PwConstant(mesh, np.ones(mesh.num_triangles)),
                            space=space)
     weights = rng.uniform(0.5, 2.0, size=mesh.num_triangles)
-    shift = prob.lumped_mass()[prob.free_mask] / 0.7
-    A = prob.weighted_stiffness(weights, shift)
+    A = prob.weighted_stiffness(weights)
     assert np.any(A.data == 0.0)  # couplings across right angles
     A.eliminate_zeros()
-    K = prob.weighted_stiffness(weights, np.zeros_like(shift))
-    ref = sp.csc_matrix(K + sp.diags(shift))
+    local = (mesh.areas * weights)[:, None, None] * np.einsum(
+        "tid,tjd->tij", prob.basis_grads, prob.basis_grads)
+    ref = sp.csc_matrix(_coo_reference(prob, local))
+    ref.eliminate_zeros()
     step = A.T
     assert step.format == "csc"
     assert np.array_equal(step.indptr, ref.indptr)
@@ -482,13 +486,102 @@ def test_flow_stops_immediately_at_fixed_point():
 
 
 def test_flow_default_threshold_from_mesh_size():
+    # P1 keeps the increment rule by default; on CR only an explicit
+    # eps_stop selects it
     mesh = make_lshape_mesh()
     f_h = PwConstant(mesh, np.ones(mesh.num_triangles))
-    prob = DiscreteProblem(mesh, OptimalDesignDensity(), f_h, space="cr")
+    prob = DiscreteProblem(mesh, OptimalDesignDensity(), f_h, space="p1")
     _, rep_default = gradient_flow_solve(prob)
     expected = float(mesh.diameters.mean()) ** 2 / 20.0
     _, rep_explicit = gradient_flow_solve(prob, eps_stop=expected)
     assert rep_default.iterations == rep_explicit.iterations
+    assert rep_default.stop_reason == "increment below tolerance"
+    assert rep_default.stress is None
+
+
+def test_flow_ignores_tau():
+    mesh = make_lshape_mesh()
+    f_h = PwConstant(mesh, np.ones(mesh.num_triangles))
+    prob = DiscreteProblem(mesh, OptimalDesignDensity(), f_h, space="cr")
+    u, rep = gradient_flow_solve(prob)
+    u_tau, rep_tau = gradient_flow_solve(prob, tau=1e-3)
+    assert np.array_equal(u, u_tau)
+    assert rep.iterations == rep_tau.iterations
+
+
+def test_kacanov_stops_on_guaranteed_discrete_gap():
+    mesh = uniform_refine(make_lshape_mesh(), 1)
+    f_h = PwConstant(mesh, np.ones(mesh.num_triangles))
+    density = OptimalDesignDensity()
+    prob = DiscreteProblem(mesh, density, f_h, space="cr")
+    u, rep = gradient_flow_solve(prob)
+    assert rep.converged
+    assert rep.stop_reason == "discrete gap below tolerance"
+    u_cr = prob.function(u)
+    z = marini_reconstruct(u_cr, density, f_h, stress=rep.stress)
+    eta_lin = rep.energy - dual_energy(z, density, f_h, boundary_values=u,
+                                       quadrature="mean")
+    candidate = node_average(u_cr, dirichlet_values=np.zeros(
+        mesh.num_vertices))
+    eta_bar = eta_hat_sq(candidate, z, density, f_h).eta_hat_sq_total
+    assert 0.0 <= eta_lin <= solvers.GAMMA * eta_bar
+    # eta_lin bounds the energy error of the iterate
+    _, rep_min = gradient_flow_solve(prob, eps_stop=1e-13, max_iter=5000)
+    assert rep_min.converged
+    assert 0.0 <= rep.energy - rep_min.energy <= eta_lin
+    # the solve stops at the first step that meets the rule
+    _, rep_short = gradient_flow_solve(prob, max_iter=rep.iterations - 1)
+    assert not rep_short.converged
+    assert rep_short.stop_reason == "iteration limit reached"
+
+
+def test_infeasible_flux_never_stops_the_kacanov_solve(monkeypatch):
+    # both sides of the stop rule are +inf for a flux that fails the
+    # feasibility test; the solve must not read that as converged
+    mesh = make_lshape_mesh()
+    f_h = PwConstant(mesh, np.ones(mesh.num_triangles))
+    prob = DiscreteProblem(mesh, OptimalDesignDensity(), f_h, space="cr")
+    monkeypatch.setattr(solvers, "dual_energy", lambda *a, **k: -np.inf)
+    monkeypatch.setattr(solvers, "_guaranteed_parts",
+                        lambda *a: (np.inf, np.inf, None))
+    _, rep = gradient_flow_solve(prob, max_iter=5)
+    assert not rep.converged and rep.iterations == 5
+
+
+@pytest.mark.parametrize("solver", ["newton", "flow"])
+@pytest.mark.parametrize("density", [PPowerDensity(1.6),
+                                     OptimalDesignDensity()],
+                         ids=["p1.6", "design"])
+def test_single_step_flux_is_normal_continuous(solver, density):
+    # Marini's identity for the last linear solve: one step from a random
+    # start, far from the minimizer, gives a normal-continuous flux
+    mesh = _corner_refined_lshape()
+    rng = np.random.default_rng(31)
+    f_h = PwConstant(mesh, rng.uniform(0.5, 2.0, size=mesh.num_triangles))
+    prob = DiscreteProblem(mesh, density, f_h, space="cr",
+                           dirichlet=0.05 * rng.normal(size=mesh.num_sides))
+    u, rep = solve_problem(prob, solver=solver,
+                           u0=rng.normal(size=mesh.num_sides), max_iter=1)
+    assert rep.iterations == 1 and not rep.converged
+    u_cr = prob.function(u)
+    z = marini_reconstruct(u_cr, density, f_h, stress=rep.stress)
+    assert np.max(np.abs(z.mismatch)) <= 1e-10 * np.max(np.abs(z.coeffs))
+    assert _feasible(z, f_h)
+    # the gradient stress of the same iterate is far from continuous
+    assert not _feasible(marini_reconstruct(u_cr, density, f_h), f_h)
+
+
+def test_newton_start_at_solution_still_hands_back_a_flux():
+    mesh = make_lshape_mesh()
+    f_h = PwConstant(mesh, np.ones(mesh.num_triangles))
+    density = PPowerDensity(1.6)
+    prob = DiscreteProblem(mesh, density, f_h, space="cr")
+    u, _ = newton_solve(prob, tol_abs=1e-9)
+    u_again, rep = newton_solve(prob, u0=u, tol_abs=1e-6)
+    assert rep.converged and rep.iterations == 0
+    assert np.array_equal(u_again, u)
+    z = marini_reconstruct(prob.function(u), density, f_h, stress=rep.stress)
+    assert _feasible(z, f_h)
 
 
 def test_solve_problem_dispatch():

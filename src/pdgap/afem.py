@@ -246,6 +246,7 @@ def conforming_candidate(u: CrFunction, density, f_h: PwConstant,
                          mode: str = "minimize",
                          vertex_dirichlet: np.ndarray | None = None,
                          solver: str = "newton", solver_options=None,
+                         flux: MariniField | None = None,
                          ) -> tuple[P1Function, SolverReport | None]:
     """Conforming approximation from a nonconforming minimizer.
 
@@ -253,7 +254,13 @@ def conforming_candidate(u: CrFunction, density, f_h: PwConstant,
     with the supplied boundary values (zero if omitted), so the result
     always satisfies the boundary condition.  ``"minimize"`` solves the
     conforming minimization problem (same density and load), started from
-    the vertex average, and returns its solver report alongside.
+    the vertex average, and returns its solver report alongside.  With the
+    flow solver it needs ``flux``, a feasible dual field of the level (or an
+    ``eps_stop`` solver option): its discrete dual value ``dual_energy(flux,
+    ..., boundary_values=<side means of the averaged trace>,
+    quadrature="mean")``, computed once, lower-bounds the conforming energy
+    and stops the P1 Kacanov solve (see
+    :func:`~pdgap.solvers.gradient_flow_solve`).
     """
     mesh = u.mesh
     gv = (np.zeros(mesh.num_vertices) if vertex_dirichlet is None
@@ -264,9 +271,14 @@ def conforming_candidate(u: CrFunction, density, f_h: PwConstant,
     if mode == "minimize":
         problem = DiscreteProblem(mesh, density, f_h, space="p1",
                                   dirichlet=gv)
+        options = dict(solver_options or {})
+        if solver == "flow" and flux is not None:
+            options["dual"] = dual_energy(
+                flux, density, f_h,
+                boundary_values=_trace_side_means(averaged),
+                quadrature="mean")
         state, report = solve_problem(problem, solver=solver,
-                                      u0=averaged.values,
-                                      **(solver_options or {}))
+                                      u0=averaged.values, **options)
         return P1Function(mesh, state), report
     raise ValueError(f"unknown conforming mode {mode!r}")
 
@@ -300,14 +312,15 @@ def afem_run(problem: AfemProblem, cfg: AfemConfig,
     Per iteration: minimize over the nonconforming space (warm-started from
     the previous level by midpoint evaluation), reconstruct the dual flux
     from the stress of the solver's last linear solve (feasible whether or
-    not that solve reached the minimizer), build the conforming candidate,
-    evaluate the guaranteed indicators and energies, and record.  The loop then stops if the squared estimator
-    total is at most ``cfg.eps_stop``, else marks (Doerfler on the
-    configured indicators, or every element with ``cfg.uniform``) and
-    refines.  A solver failure at any level stops the run with the rows
-    recorded so far and ``failed`` set.  The ``seconds`` column measures the
-    solve-to-estimate span of each iteration and is the only
-    run-to-run-dependent column.
+    not that solve reached the minimizer), build the conforming candidate
+    (the flow solver's P1 solve stops against that flux's discrete dual
+    value), evaluate the guaranteed indicators and energies, and record.
+    The loop then stops if the squared estimator total is at most
+    ``cfg.eps_stop``, else marks (Doerfler on the configured indicators, or
+    every element with ``cfg.uniform``) and refines.  A solver failure at
+    any level stops the run with the rows recorded so far and ``failed``
+    set.  The ``seconds`` column measures the solve-to-estimate span of each
+    iteration and is the only run-to-run-dependent column.
     """
     trace = AfemTrace(config=cfg, problem=problem.label, seed=seed)
     mesh = problem.mesh
@@ -338,7 +351,7 @@ def afem_run(problem: AfemProblem, cfg: AfemConfig,
         candidate, conf_report = conforming_candidate(
             u_cr, problem.density, f_h, mode=cfg.conforming,
             vertex_dirichlet=vertex_dirichlet,
-            solver=cfg.solver, solver_options=cfg.solver_options)
+            solver=cfg.solver, solver_options=cfg.solver_options, flux=flux)
         if conf_report is not None and not conf_report.converged:
             trace.failed = True
             trace.failure_reason = (

@@ -78,11 +78,6 @@ class PPowerDensity:
     def phi_star(self, b) -> np.ndarray:
         return _norm(b) ** self.q / self.q
 
-    def dphi_star(self, b) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
-        r = _norm(b)
-        return _safe_radial(r ** (self.q - 1.0), b, r)
-
     def slope_ratio(self, t) -> np.ndarray:
         """Regularized ``psi'(t)/t = (t^2 + kappa^2)^((p-2)/2)``."""
         t = np.asarray(t, dtype=float)
@@ -122,26 +117,11 @@ class OptimalDesignDensity:
         return np.where(t <= self.t1, 0.5 * self.mu2 * t ** 2,
                         np.where(t <= self.t2, mid, hi))
 
-    def psi_prime(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return np.where(t <= self.t1, self.mu2 * t,
-                        np.where(t <= self.t2, self.mu2 * self.t1,
-                                 self.mu1 * t))
-
     def psi_star(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         lo = 0.5 * s ** 2 / self.mu2
         hi = 0.5 * s ** 2 / self.mu1 - self.lam * (self.mu2 - self.mu1)
         return np.where(s <= self.s_star, lo, hi)
-
-    def dpsi_star(self, s) -> np.ndarray:
-        """Derivative of the conjugate profile; at the kink radius the
-        subdifferential is [t1, t2] and its midpoint is returned (kink
-        membership is decided up to a tiny relative tolerance)."""
-        s = np.asarray(s, dtype=float)
-        at_kink = np.abs(s - self.s_star) <= 1e-9 * self.s_star
-        return np.where(at_kink, 0.5 * (self.t1 + self.t2),
-                        np.where(s < self.s_star, s / self.mu2, s / self.mu1))
 
     # -- vector interface ---------------------------------------------------
 
@@ -172,11 +152,6 @@ class OptimalDesignDensity:
 
     def phi_star(self, b) -> np.ndarray:
         return self.psi_star(_norm(b))
-
-    def dphi_star(self, b) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
-        r = _norm(b)
-        return _safe_radial(self.dpsi_star(r), b, r)
 
     def slope_ratio(self, t) -> np.ndarray:
         """``psi'(t)/t``: mu2 below t1 (and at 0), mu2 t1 / t on the plateau,

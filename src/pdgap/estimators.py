@@ -11,9 +11,10 @@ Two families are provided, both localized per element:
 The vertex (trapezoidal) rule overestimates integrals of convex integrands,
 which makes ``eta_hat`` computable and one-sided: per element
 ``0 <= eta <= eta_hat``.  Dual feasibility (``z`` in H(div) with
-``div z = -f_h``: divergence and normal continuity) is a precondition for
-the gap family; violations are marked with ``+inf`` rather than raised, so
-callers can surface them in traces.
+``div z = -f_h`` and ``z.n = 0`` on Neumann sides: divergence, normal
+continuity and the Neumann flux) is a precondition for the gap family;
+violations are marked with ``+inf`` rather than raised, so callers can
+surface them in traces.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 
 from .energy_models import fmap
 from .fespaces import CrFunction, P1Function, PwConstant, Rt0Field
+from .mesh import NEUMANN
 from .quadrature import RULE_ORDER4, TriangleRule, integrate
 
 __all__ = ["EstimatorBreakdown", "AitkenResult",
@@ -92,20 +94,24 @@ def primal_energy(v: P1Function | CrFunction, density,
 
 
 def _feasible(z: Rt0Field, f_h: PwConstant) -> bool:
-    """The dual constraint: ``z`` is H(div)-conforming with ``div z = -f_h``.
+    """The dual constraint: ``z`` is H(div)-conforming with ``div z = -f_h``
+    and ``z.n = 0`` on Neumann sides.
 
-    The divergence defect must be at most ``1e-10 (1 + max|f_h|)`` and the
-    normal mismatch across every side at most ``1e-10 (1 + max|z.n|)``,
-    with ``max|z.n|`` the largest side normal flux.  A glued
-    :class:`~pdgap.fespaces.Rt0Field` has no mismatch; a
-    :class:`~pdgap.reconstruction.MariniField` passes only if its stress
-    comes from a linear CR solve (or the exact discrete minimizer).
+    The divergence defect must be at most ``1e-10 (1 + max|f_h|)``, and the
+    normal mismatch across every side and the normal flux on every Neumann
+    side at most ``1e-10 (1 + max|z.n|)``, with ``max|z.n|`` the largest
+    side normal flux.  A glued :class:`~pdgap.fespaces.Rt0Field` has no
+    mismatch; a :class:`~pdgap.reconstruction.MariniField` passes only if
+    its stress comes from a linear CR solve (or the exact discrete
+    minimizer).
     """
+    neumann = z.mesh.side_labels == NEUMANN
+    defect = np.where(neumann, z.coeffs, z.mismatch)
     div_tol = 1e-10 * (1.0 + float(np.max(np.abs(f_h.values))))
     jump_tol = 1e-10 * (1.0 + float(np.max(np.abs(z.coeffs), initial=0.0)))
     return (float(np.max(np.abs(z.divergence().values + f_h.values)))
             <= div_tol
-            and float(np.max(np.abs(z.mismatch), initial=0.0)) <= jump_tol)
+            and float(np.max(np.abs(defect), initial=0.0)) <= jump_tol)
 
 
 def _vertex_rule_conjugate(z: Rt0Field, density) -> np.ndarray:
@@ -166,7 +172,7 @@ def eta_hat_sq(u_tilde: P1Function, z: Rt0Field, density,
     its guaranteed vertex-rule variant lives in ``eta_D_hat_sq``, and the
     shipped estimator is ``eta_hat_sq = eta_A_sq + eta_D_hat_sq``.  All
     entries are ``+inf`` when the dual field fails the feasibility test
-    (divergence or normal continuity).
+    (divergence, normal continuity or the Neumann flux).
     """
     mesh = u_tilde.mesh
     if z.mesh is not mesh or f_h.mesh is not mesh:

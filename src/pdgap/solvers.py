@@ -19,8 +19,9 @@ solve (:attr:`SolverReport.stress`).  It solves a *linear* CR problem, so by
 Marini's identity :func:`~pdgap.reconstruction.marini_reconstruct` turns it
 into a flux in H(div) with ``div z = -f_h``, up to the linear solve's
 backward error, however far the iterate is from the discrete minimizer.
-The CR Kacanov solve stops on the guaranteed discrete gap of that flux;
-Newton keeps its residual test.
+The CR Kacanov solve stops on the guaranteed discrete gap of that flux,
+and the P1 Kacanov solve once a step gains little against a given discrete
+dual value; Newton keeps its residual test.
 
 Every linear system either solver meets is symmetric positive definite.
 All of them are factorized the same way: SuperLU in symmetric mode, with a
@@ -405,14 +406,17 @@ def _newton_stress(problem: DiscreteProblem, u: np.ndarray,
         problem.broken_gradient(delta))
 
 
-#: Stop factor of the CR Kacanov solve: it stops once the discrete gap of
-#: its iterate is at most ``GAMMA`` times the estimate that iterate feeds.
+#: Stop factor of the Kacanov solve: on CR it stops once the discrete gap
+#: of its iterate is at most ``GAMMA`` times the estimate that iterate
+#: feeds, on P1 once a step lowers the energy by at most ``GAMMA`` times the
+#: gap to the level's dual value that is left.
 GAMMA = 0.01
 
 
 def gradient_flow_solve(problem: DiscreteProblem, u0=None, tau: float = 1.0,
                         eps_stop: float | None = None, max_iter: int = 500,
                         vertex_dirichlet: np.ndarray | None = None,
+                        dual: float | None = None,
                         ) -> tuple[np.ndarray, SolverReport]:
     """Kacanov iteration, the tau -> infinity limit of the gradient flow.
 
@@ -434,15 +438,27 @@ def gradient_flow_solve(problem: DiscreteProblem, u0=None, tau: float = 1.0,
     ``u^{n+1}`` (Dirichlet vertices set to ``vertex_dirichlet``, default
     zero) against ``z^{n+1}``.  The report's ``stress`` is the last step's.
 
-    The P1 space has no cheap discrete dual.  There, and on either space
-    when ``eps_stop`` is given, the solve stops once the broken H1 seminorm
-    of the increment is at most ``eps_stop`` (default: the squared average
-    element diameter divided by 20).
+    On the P1 space ``dual`` is a fixed discrete dual value ``D_h(z)`` of
+    the level, e.g. the CR flux's: by discrete weak duality ``D_h(z) <=
+    min I_CR <= min I_P1``, so ``I_h(u^n) - D_h(z)`` bounds what any further
+    step can still gain.  Unless ``eps_stop`` is given, the solve stops once
+    a step gains at most ``GAMMA`` of that gap, ``I_h(u^{n-1}) - I_h(u^n)
+    <= GAMMA (I_h(u^n) - D_h(z)) + 1e-12 (|I_h(u^n)| + |D_h(z)|)``; a
+    non-finite ``dual`` never stops it.  A P1 solve given neither
+    ``eps_stop`` nor ``dual`` raises :class:`ValueError`.
+
+    With ``eps_stop``, on either space, the solve stops once the broken H1
+    seminorm of the increment is at most ``eps_stop``.
     """
+    if eps_stop is not None:
+        rule = "increment"
+    elif problem.space == "cr":
+        rule = "gap"
+    elif dual is not None:
+        rule = "decrease"
+    else:
+        raise ValueError("a P1 flow solve needs eps_stop or the level's dual")
     mesh = problem.mesh
-    gap_rule = problem.space == "cr" and eps_stop is None
-    if eps_stop is None:
-        eps_stop = float(mesh.diameters.mean()) ** 2 / 20.0
     u = problem.initial_state() if u0 is None else problem.impose_dirichlet(u0)
     free = np.flatnonzero(problem.free_mask)
     load_vec = np.zeros(problem.num_dofs)
@@ -471,17 +487,23 @@ def gradient_flow_solve(problem: DiscreteProblem, u0=None, tau: float = 1.0,
         energies.append(problem.energy(unew))
         if problem.space == "cr":
             stress = slopes[:, None] * problem.broken_gradient(unew)
-        if gap_rule:
+        if rule == "gap":
             converged = _gap_below_tolerance(problem, unew, stress,
                                              energies[-1], vertex_dirichlet)
+        elif rule == "decrease":
+            roundoff = 1e-12 * (abs(energies[-1]) + abs(dual))
+            converged = bool(np.isfinite(dual)) and (
+                energies[-2] - energies[-1]
+                <= GAMMA * (energies[-1] - dual) + roundoff)
         else:
             converged = problem.increment_seminorm(unew - u) <= eps_stop
         u = unew
         if converged or steps >= max_iter:
             break
     reason = ("iteration limit reached" if not converged
-              else "discrete gap below tolerance" if gap_rule
-              else "increment below tolerance")
+              else {"gap": "discrete gap below tolerance",
+                    "decrease": "energy decrease below tolerance",
+                    "increment": "increment below tolerance"}[rule])
     report = SolverReport(method="flow", converged=converged,
                           iterations=steps, energy=energies[-1],
                           energies=energies,

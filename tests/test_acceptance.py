@@ -110,8 +110,9 @@ def design_run():
     (the Kacanov iteration).
 
     ``max_iter`` only raises the per-level iteration cap; the stop rules
-    keep their defaults (the discrete-gap rule on CR, the mesh-size
-    increment rule on P1).
+    keep their defaults (the discrete-gap rule on CR; on P1, a step that
+    lowers the energy by at most ``GAMMA`` of its gap to the CR flux's
+    discrete dual value).
     """
     return _adaptive_run(problem="optimal-design", solver="flow",
                          solver_options={"max_iter": 3000})

@@ -199,7 +199,7 @@ def test_average_mode_and_interior_node_run():
 
 
 def test_flow_solver_keeps_weak_duality():
-    # the flow stops at a loose mesh-dependent tolerance, yet the
+    # both Kacanov solves stop early, on their gap rules, yet the
     # reconstruction stays feasible, so the gap must remain nonnegative
     problem = AfemProblem(mesh=make_lshape_mesh(),
                           density=OptimalDesignDensity(1.0, 2.0, 0.0145),
@@ -209,6 +209,21 @@ def test_flow_solver_keeps_weak_duality():
     assert not trace.failed and len(trace.records) == 2
     assert np.all(trace.column("discrete_gap") >= 0.0)
     assert np.all(np.isfinite(trace.column("D_dual")))
+
+
+def test_flow_study_energies_fall_and_bracket_holds():
+    # the P1 solve stops once a step gains little against the CR flux's
+    # dual value; the candidates must still improve from level to level
+    problem = AfemProblem(mesh=make_lshape_mesh(),
+                          density=OptimalDesignDensity(1.0, 2.0, 0.0145),
+                          load=1.0)
+    trace = afem_run(problem, AfemConfig(max_iterations=6, solver="flow"))
+    assert not trace.failed and len(trace.records) == 6
+    primal = trace.column("I_primal")
+    dual = trace.column("D_dual")
+    assert np.all(np.diff(primal) <= 0.0)
+    assert np.all(np.isfinite(dual)) and np.all(dual <= primal)
+    assert np.all(trace.column("discrete_gap") >= 0.0)
 
 
 def test_flow_solver_stops_on_an_exactly_solved_level():

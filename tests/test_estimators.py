@@ -125,6 +125,28 @@ def test_infeasible_dual_field_marks_infinity():
     assert dual_energy(bad, density, f_h) == -np.inf
 
 
+def test_neumann_normal_flux_is_infeasible():
+    # Dirichlet on x = 0, Neumann elsewhere: z = (1/2 - x, 0) has div z = -1
+    # and no jumps, but z.n = -1/2 on the Neumann side x = 1
+    square = make_square_mesh(1)
+    labels = {tuple(square.sides[s].tolist()):
+              "D" if np.all(square.vertices[square.sides[s], 0] == 0.0)
+              else "N" for s in square.boundary_side_ids}
+    mesh = uniform_refine(
+        Triangulation(square.vertices, square.triangles, labels), 2)
+    f_h = PwConstant(mesh, np.ones(mesh.num_triangles))
+    z = Rt0Field(mesh, (0.5 - mesh.side_midpoints[:, 0])
+                 * mesh.side_normals[:, 0])
+    assert np.allclose(z.divergence().values, -1.0, atol=1e-12)
+    assert not _feasible(z, f_h)
+    for quadrature in ("vertex", "mean"):
+        assert dual_energy(z, P2, f_h, quadrature=quadrature) == -np.inf
+    # the Marini flux of the discrete minimizer has z.n = 0 there
+    prob = DiscreteProblem(mesh, P2, f_h, space="cr")
+    state, _ = newton_solve(prob)
+    assert _feasible(marini_reconstruct(prob.function(state), P2, f_h), f_h)
+
+
 # ---------------------------------------------------------------------------
 # dual energy
 # ---------------------------------------------------------------------------
@@ -471,6 +493,12 @@ def test_aitken_input_validation():
 # monotonicity bounds on the gap indicators
 # ---------------------------------------------------------------------------
 
+def _ppower_conjugate_gradient(density, b):
+    """``Dphi*(b) = |b|^(q-2) b`` of a p-power density."""
+    r = np.sqrt(np.sum(b ** 2, axis=-1))
+    return (np.where(r > 0, r, 1.0) ** (density.q - 2.0))[..., None] * b
+
+
 def _monotonicity_bounds(u_tilde, u_cr, z, density):
     """Per-element ``B_A = int (Dphi(grad u_tilde) - Dphi(grad u_cr)) .
     (grad u_tilde - grad u_cr)`` and ``B_D = int (Dphi*(z) - Dphi*(mean z))
@@ -484,7 +512,8 @@ def _monotonicity_bounds(u_tilde, u_cr, z, density):
     means = z.element_means()
     b_d = integrate(RULE_ORDER4, mesh.areas, np.einsum(
         "tqd,tqd->tq",
-        density.dphi_star(zvals) - density.dphi_star(means)[:, None, :],
+        _ppower_conjugate_gradient(density, zvals)
+        - _ppower_conjugate_gradient(density, means)[:, None, :],
         zvals - means[:, None, :]))
     return b_a, b_d
 

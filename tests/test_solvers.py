@@ -7,9 +7,11 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import pdgap.afem as afem
 import pdgap.solvers as solvers
 from pdgap.energy_models import OptimalDesignDensity, PPowerDensity
-from pdgap.estimators import _feasible, dual_energy, eta_hat_sq
+from pdgap.afem import conforming_candidate
+from pdgap.estimators import _feasible, dual_energy, eta_hat_sq, primal_energy
 from pdgap.fespaces import PwConstant, node_average
 from pdgap.mesh import Triangulation, make_lshape_mesh, refine, uniform_refine
 from pdgap.quadrature import RULE_ORDER4, integrate
@@ -485,18 +487,63 @@ def test_flow_stops_immediately_at_fixed_point():
     assert rep2.converged and rep2.iterations == 1
 
 
-def test_flow_default_threshold_from_mesh_size():
-    # P1 keeps the increment rule by default; on CR only an explicit
-    # eps_stop selects it
+def test_p1_kacanov_stops_when_a_step_barely_lowers_the_gap(monkeypatch):
+    # a once-refined design level with homogeneous data: the CR Kacanov
+    # flux and its discrete dual value (no boundary pairing)
+    mesh = uniform_refine(make_lshape_mesh(), 1)
+    f_h = PwConstant(mesh, np.ones(mesh.num_triangles))
+    density = OptimalDesignDensity()
+    cr = DiscreteProblem(mesh, density, f_h, space="cr")
+    u, cr_rep = gradient_flow_solve(cr)
+    u_cr = cr.function(u)
+    z = marini_reconstruct(u_cr, density, f_h, stress=cr_rep.stress)
+    dual = dual_energy(z, density, f_h, quadrature="mean")
+    assert np.isfinite(dual)
+    passed = {}
+    solve = afem.solve_problem
+
+    def spy(problem, **kwargs):
+        passed.update(kwargs)
+        return solve(problem, **kwargs)
+
+    monkeypatch.setattr(afem, "solve_problem", spy)
+    candidate, rep = conforming_candidate(u_cr, density, f_h, solver="flow",
+                                          flux=z)
+    assert passed["dual"] == dual  # the flux's mean-rule dual value
+    assert rep.converged and rep.iterations >= 2
+    assert rep.stop_reason == "energy decrease below tolerance"
+    assert rep.stress is None
+    energy = primal_energy(candidate, density, f_h)
+    assert energy == rep.energy
+    assert energy - dual >= 0.0  # discrete weak duality
+    drop = rep.energies[-2] - rep.energies[-1]
+    assert 0.0 <= drop <= solvers.GAMMA * (energy - dual)
+    # the solve stops at the first step that meets the rule
+    _, rep_short = conforming_candidate(
+        u_cr, density, f_h, solver="flow", flux=z,
+        solver_options={"max_iter": rep.iterations - 1})
+    assert not rep_short.converged
+    assert rep_short.stop_reason == "iteration limit reached"
+
+
+def test_p1_flow_needs_a_stop_rule():
     mesh = make_lshape_mesh()
     f_h = PwConstant(mesh, np.ones(mesh.num_triangles))
     prob = DiscreteProblem(mesh, OptimalDesignDensity(), f_h, space="p1")
-    _, rep_default = gradient_flow_solve(prob)
-    expected = float(mesh.diameters.mean()) ** 2 / 20.0
-    _, rep_explicit = gradient_flow_solve(prob, eps_stop=expected)
-    assert rep_default.iterations == rep_explicit.iterations
-    assert rep_default.stop_reason == "increment below tolerance"
-    assert rep_default.stress is None
+    with pytest.raises(ValueError, match="eps_stop"):
+        gradient_flow_solve(prob)
+    # an explicit eps_stop still selects the increment rule
+    _, rep = gradient_flow_solve(prob, eps_stop=1e-3)
+    assert rep.converged and rep.stop_reason == "increment below tolerance"
+
+
+def test_infinite_dual_never_stops_the_p1_kacanov_solve():
+    mesh = make_lshape_mesh()
+    f_h = PwConstant(mesh, np.ones(mesh.num_triangles))
+    prob = DiscreteProblem(mesh, OptimalDesignDensity(), f_h, space="p1")
+    _, rep = gradient_flow_solve(prob, dual=-np.inf, max_iter=5)
+    assert not rep.converged and rep.iterations == 5
+    assert rep.stop_reason == "iteration limit reached"
 
 
 def test_flow_ignores_tau():

@@ -69,11 +69,16 @@ class PPowerDensity:
         """Regularized Hessian ``s^(p-2) I + (p-2) s^(p-4) a a^T`` with
         ``s = sqrt(|a|^2 + kappa^2)``; symmetric positive definite."""
         a = np.asarray(a, dtype=float)
-        s2 = np.sum(a ** 2, axis=-1) + KAPPA ** 2
-        eye = np.eye(2)
-        outer = a[..., :, None] * a[..., None, :]
-        return (s2 ** (0.5 * self.p - 1.0))[..., None, None] * eye \
-            + (self.p - 2.0) * (s2 ** (0.5 * self.p - 2.0))[..., None, None] * outer
+        a0, a1 = a[..., 0], a[..., 1]
+        s2 = a0 ** 2 + a1 ** 2 + KAPPA ** 2
+        diag = s2 ** (0.5 * self.p - 1.0)
+        # (p - 2) s^(p-4), exactly zero at p = 2, so that D2phi is exactly I
+        rank_one = (self.p - 2.0) * diag / s2
+        out = np.empty(a.shape + (2,))
+        out[..., 0, 0] = diag + rank_one * a0 ** 2
+        out[..., 0, 1] = out[..., 1, 0] = rank_one * a0 * a1
+        out[..., 1, 1] = diag + rank_one * a1 ** 2
+        return out
 
     def phi_star(self, b) -> np.ndarray:
         return _norm(b) ** self.q / self.q

@@ -156,6 +156,30 @@ def test_regularized_hessian_finite_at_origin():
     assert np.allclose(hess, KAPPA ** (1.2 - 2.0) * np.eye(2))
 
 
+def _ppower_hessian_outer_form(p, a):
+    """``s^(p-2) I + (p-2) s^(p-4) a a^T`` through a broadcast identity and
+    an outer product, the form the explicit 2x2 entries replaced."""
+    s2 = np.sum(a ** 2, axis=-1) + KAPPA ** 2
+    outer = a[..., :, None] * a[..., None, :]
+    return (s2 ** (0.5 * p - 1.0))[..., None, None] * np.eye(2) \
+        + (p - 2.0) * (s2 ** (0.5 * p - 2.0))[..., None, None] * outer
+
+
+@pytest.mark.parametrize("p", [1.1, 1.2, 1.6, 2.0, 3.0])
+def test_ppower_hessian_matches_outer_product_form(p):
+    rng = np.random.default_rng(6)
+    a = rng.normal(size=(50, 40, 2)) * 10.0 ** rng.uniform(-12, 3, (50, 40, 1))
+    a[0, 0] = 0.0
+    got = PPowerDensity(p).d2phi(a)
+    ref = _ppower_hessian_outer_form(p, a)
+    assert got.shape == ref.shape == (50, 40, 2, 2)
+    assert np.array_equal(got, np.swapaxes(got, -1, -2))
+    error = np.abs(got - ref).max(axis=(-2, -1))
+    assert np.all(error <= 1e-14 * np.abs(ref).max(axis=(-2, -1)))
+    if p == 2.0:  # the quadratic energy's Hessian is exactly the identity
+        assert np.array_equal(got, np.broadcast_to(np.eye(2), got.shape))
+
+
 def test_slope_ratio():
     d = PPowerDensity(1.6)
     t = np.array([0.0, 0.5, 2.0])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdgap.energy_models import OptimalDesignDensity, PPowerDensity
-from pdgap.estimators import dual_energy, primal_energy
+from pdgap.estimators import dual_energy, eta_hat_sq, primal_energy
 from pdgap.fespaces import CrFunction, PwConstant, Rt0Field, node_average
 from pdgap.mesh import (Triangulation, make_lshape_mesh, refine,
                         uniform_refine)
@@ -252,6 +252,12 @@ def test_capped_solve_keeps_the_bracket(mesh, density, solver, max_iter):
     trace = candidate.values[mesh.sides].mean(axis=1)
     dual = dual_energy(z, density, f_h, boundary_values=trace)
     assert dual <= primal_energy(candidate, density, f_h)
+    # per element, 0 <= eta <= eta_hat: the vertex rule bounds the order-4
+    # rule of the convex phi*(z) (all +inf for an infeasible flux)
+    parts = eta_hat_sq(candidate, z, density, f_h)
+    roundoff = 1e-12 * mesh.areas * density.phi_star(z.element_means())
+    assert np.all(parts.eta_sq >= 0)
+    assert np.all(parts.eta_sq <= parts.eta_hat_sq + roundoff)
     continuous = (np.max(np.abs(z.mismatch))
                   <= 1e-10 * np.max(np.abs(z.coeffs)))
     if solver == "newton" and isinstance(density, OptimalDesignDensity):

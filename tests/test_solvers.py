@@ -165,9 +165,9 @@ def test_assemble_free_bit_identical_to_coo_reference(space):
                            space=space, dirichlet=rng.normal(size=num_dofs))
     v = prob.impose_dirichlet(rng.normal(size=num_dofs))
     grads = prob.broken_gradient(v)
-    hessian_local = mesh.areas[:, None, None] * np.einsum(
-        "tid,tde,tje->tij", prob.basis_grads, prob.density.d2phi(grads),
-        prob.basis_grads)
+    B = prob.basis_grads
+    hessian_local = mesh.areas[:, None, None] * (
+        B @ prob.density.d2phi(grads) @ B.transpose(0, 2, 1))
     for local in (hessian_local, rng.normal(size=(mesh.num_triangles, 3, 3))):
         got = prob._assemble_free(local)
         ref = _coo_reference(prob, local)
@@ -293,6 +293,22 @@ def test_hessian_vector_finite_difference():
     assert np.linalg.norm(fd - exact) <= 1e-5 * max(1.0, np.linalg.norm(exact))
 
 
+def test_hessian_matches_three_operand_einsum():
+    # the batched B D B^T kernel against the einsum form it replaced, entry
+    # by entry relative to the sum of the absolute local contributions
+    prob = _lshape_problem(p=1.2, level=2)
+    rng = np.random.default_rng(11)
+    v = prob.impose_dirichlet(rng.normal(size=prob.num_dofs))
+    B = prob.basis_grads
+    local = prob.mesh.areas[:, None, None] * np.einsum(
+        "tid,tde,tje->tij", B, prob.density.d2phi(prob.broken_gradient(v)), B)
+    ref = prob._assemble_free(local)
+    scale = prob._assemble_free(np.abs(local))
+    H = prob.hessian(v)
+    assert np.array_equal(H.indices, ref.indices)
+    assert np.all(np.abs(H.data - ref.data) <= 1e-14 * scale.data)
+
+
 def test_hessian_symmetric_positive_definite():
     prob = _lshape_problem(p=1.6)
     rng = np.random.default_rng(13)
@@ -312,6 +328,57 @@ def test_newton_one_step_for_quadratic_energy():
     u, rep = newton_solve(prob)
     assert rep.converged and rep.iterations == 1
     assert prob.residual_norm(u) <= 1e-12
+    # the one step is the full Newton step, t = 1
+    start, free = prob.initial_state(), prob.free_mask
+    step = linear_solve(prob.hessian(start), -prob.gradient(start)[free])
+    assert np.array_equal(u[free], start[free] + step)
+
+
+def _spy_line_search(monkeypatch):
+    """Record ``(t, g(0), I(u), I(u + t delta), g(t))`` of every accepted
+    Newton step, with ``g`` the energy's derivative along the direction."""
+    calls = []
+    search = solvers._line_search
+
+    def spy(problem, u, step, slope, energy0, norm0):
+        t, x, grad, energy = search(problem, u, step, slope, energy0, norm0)
+        g = float(grad[problem.free_mask] @ step)
+        calls.append((t, slope, energy0, energy, g))
+        return t, x, grad, energy
+
+    monkeypatch.setattr(solvers, "_line_search", spy)
+    return calls
+
+
+def test_newton_line_search_meets_armijo_and_curvature(monkeypatch):
+    prob = _lshape_problem(p=1.2, level=1)
+    u0, _ = newton_solve(_lshape_problem(p=2.0, level=1), tol_abs=1e-12)
+    calls = _spy_line_search(monkeypatch)
+    u, rep = newton_solve(prob, u0=u0, tol_abs=1e-6, tol_rel=0.0)
+    assert rep.converged and len(calls) == rep.iterations
+    assert any(t < 1 for t, *_ in calls)  # the search itself is exercised
+    for t, slope, energy0, energy, g in calls:
+        assert slope < 0 and 0 < t <= 1
+        assert energy <= energy0 + 1e-4 * t * slope  # Armijo
+        if t < 1:
+            assert abs(g) <= solvers.C2 * abs(slope)  # strong Wolfe
+    assert np.all(np.diff(rep.energies) <= 0)
+
+
+#: Newton iterations of the test below when each step halved ``t`` until
+#: Armijo passed, instead of searching for the minimum along the direction.
+_HALVING_ITERATIONS = 47
+
+
+def test_newton_line_search_saves_iterations():
+    mesh = _corner_refined_lshape()
+    f_h = PwConstant(mesh, np.ones(mesh.num_triangles))
+    u0, _ = newton_solve(DiscreteProblem(mesh, PPowerDensity(2.0), f_h),
+                         tol_abs=1e-12)
+    prob = DiscreteProblem(mesh, PPowerDensity(1.2), f_h)
+    u, rep = newton_solve(prob, u0=u0, tol_abs=1e-8, tol_rel=0.0)
+    assert rep.converged and prob.residual_norm(u) <= 1e-8
+    assert rep.iterations < _HALVING_ITERATIONS
 
 
 def test_newton_zero_iterations_at_solution():

@@ -255,11 +255,10 @@ def conforming_candidate(u: CrFunction, density, f_h: PwConstant,
     always satisfies the boundary condition.  ``"minimize"`` solves the
     conforming minimization problem (same density and load), started from
     the vertex average, and returns its solver report alongside.  With the
-    flow solver it needs ``flux``, a feasible dual field of the level (or an
-    ``eps_stop`` solver option): its discrete dual value ``dual_energy(flux,
-    ..., boundary_values=<side means of the averaged trace>,
-    quadrature="mean")``, computed once, lower-bounds the conforming energy
-    and stops the P1 Kacanov solve (see
+    flow solver it needs ``flux``, a feasible dual field of the level: its
+    discrete dual value ``dual_energy(flux, ..., boundary_values=<side
+    means of the averaged trace>, quadrature="mean")``, computed once,
+    lower-bounds the conforming energy and stops the P1 Kacanov solve (see
     :func:`~pdgap.solvers.gradient_flow_solve`).
     """
     mesh = u.mesh

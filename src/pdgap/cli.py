@@ -407,9 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
                      action="store_true")
     run.add_argument("--tol-abs", dest="tol_abs", type=float, default=1e-8)
     run.add_argument("--tol-rel", dest="tol_rel", type=float, default=1e-10)
-    run.add_argument("--tau", type=float, default=1.0,
-                     help="accepted, ignored (the flow solver is the "
-                          "Kacanov iteration, its tau -> infinity limit)")
     run.add_argument("--max-iter", dest="max_iter", type=int, default=None)
     return parser
 
@@ -418,10 +415,8 @@ def _config_from_args(args) -> AfemConfig:
     solver = args.solver
     if solver is None:
         solver = "flow" if args.problem == "optimal-design" else "newton"
-    if solver == "newton":
-        options = {"tol_abs": args.tol_abs, "tol_rel": args.tol_rel}
-    else:
-        options = {"tau": args.tau}
+    options = ({"tol_abs": args.tol_abs, "tol_rel": args.tol_rel}
+               if solver == "newton" else {})
     if args.max_iter is not None:
         options["max_iter"] = args.max_iter
     return AfemConfig(theta=args.theta, max_iterations=args.iters,

@@ -6,15 +6,18 @@
 
 over the Crouzeix-Raviart space (``space="cr"``, one unknown per side
 midpoint) or the conforming P1 space (``space="p1"``, one unknown per
-vertex), with Dirichlet values eliminated.  Two solvers are provided:
+vertex), with Dirichlet values eliminated.  Two solvers are provided, both
+stepping ``u <- u + delta`` with ``A(u) delta = -DI(u)`` on the free
+unknowns:
 
-* :func:`newton_solve` -- Newton with the density's (possibly regularized)
+* :func:`newton_solve` -- ``A`` the density's (possibly regularized)
   Hessian, each step going to the energy's minimum along its direction: a
   regula falsi on the directional derivative until the strong Wolfe
   curvature condition holds, accepted under the Armijo condition;
 * :func:`gradient_flow_solve` -- the Kacanov iteration, the tau -> infinity
-  limit of the semi-implicit gradient flow: each step solves a
-  weighted-Laplacian (secant slope) system.
+  limit of the semi-implicit gradient flow: ``A`` the stiffness matrix
+  weighted by the secant slopes, and the full step, which lands on the
+  solution of the weighted-Laplacian system with the load.
 
 On the CR space both report the elementwise stress of their last linear
 solve (:attr:`SolverReport.stress`).  It solves a *linear* CR problem, so by
@@ -293,11 +296,6 @@ class DiscreteProblem:
     def residual_norm(self, u: np.ndarray) -> float:
         return float(np.linalg.norm(self.gradient(u)[self.free_mask]))
 
-    def increment_seminorm(self, delta: np.ndarray) -> float:
-        """Broken H1 seminorm of an update given as a full dof vector."""
-        g = self.broken_gradient(delta)
-        return float(np.sqrt(self.mesh.areas @ np.einsum("td,td->t", g, g)))
-
 
 @dataclass
 class SolverReport:
@@ -322,13 +320,13 @@ def newton_solve(problem: DiscreteProblem, u0=None, tol_abs: float = 1e-8,
     each Newton direction.
 
     Stops once the free-residual norm drops below ``tol_abs`` or below
-    ``tol_rel`` times its initial value.  Returns the final state and a
-    report; a start at the exact solution reports zero iterations.  If the
-    iteration limit is reached, the iterate with the smallest residual seen
-    so far is returned (with ``converged=False``).  Each step length is
-    chosen by :func:`_line_search`, and the full gradient it computes at the
-    accepted iterate gives both the residual norm and the next right-hand
-    side, so an iterate costs one gradient besides the search's trials.
+    ``tol_rel`` times its initial value.  Returns the last iterate and a
+    report; a start at the exact solution reports zero iterations, and one
+    that reaches the iteration limit reports ``converged=False``.  Each
+    step length is chosen by :func:`_line_search`, and the full gradient it
+    computes at the accepted iterate gives both the residual norm and the
+    next right-hand side, so an iterate costs one gradient besides the
+    search's trials.
 
     On the CR space the report's ``stress`` is that of the last Newton
     system ``D2I(u) delta = -DI(u)``: ``Dphi(grad u) + D2phi(grad u) grad
@@ -344,13 +342,11 @@ def newton_solve(problem: DiscreteProblem, u0=None, tol_abs: float = 1e-8,
     energies = [problem.energy(u)]
     threshold = max(tol_abs, tol_rel * res0)
     iterations = 0
-    best_u, best_norm = u, res0
     reason = "residual below tolerance"
     linearized = None  # (u, step) of the last linear solve
     while norms[-1] > threshold:
         if iterations >= max_iter:
             reason = "iteration limit reached"
-            u = best_u  # hand back the best iterate seen
             break
         residual = grad[free]
         step = linear_solve(problem.hessian(u), -residual)
@@ -364,19 +360,13 @@ def newton_solve(problem: DiscreteProblem, u0=None, tol_abs: float = 1e-8,
         iterations += 1
         norms.append(float(np.linalg.norm(grad[free])))
         energies.append(energy)
-        if norms[-1] < best_norm:
-            best_u, best_norm = u, norms[-1]
-    final_norm = best_norm if reason == "iteration limit reached" else norms[-1]
-    final_energy = problem.energy(u) if reason == "iteration limit reached" \
-        else energies[-1]
-    converged = final_norm <= threshold
     stress = None
     if problem.space == "cr":
         if linearized is None:  # no step taken: u is the start, grad its own
             linearized = (u, linear_solve(problem.hessian(u), -grad[free]))
         stress = _newton_stress(problem, *linearized)
-    report = SolverReport(method="newton", converged=converged,
-                          iterations=iterations, energy=final_energy,
+    report = SolverReport(method="newton", converged=norms[-1] <= threshold,
+                          iterations=iterations, energy=energies[-1],
                           residual_norms=norms, energies=energies,
                           stop_reason=reason, stress=stress)
     return u, report
@@ -489,96 +479,77 @@ GAMMA = 0.01
 
 
 def gradient_flow_solve(problem: DiscreteProblem, u0=None, tau: float = 1.0,
-                        eps_stop: float | None = None, max_iter: int = 500,
+                        max_iter: int = 500,
                         vertex_dirichlet: np.ndarray | None = None,
                         dual: float | None = None,
                         ) -> tuple[np.ndarray, SolverReport]:
     """Kacanov iteration, the tau -> infinity limit of the gradient flow.
 
-    Each step solves ``K(a_n) u^{n+1} = b`` on the free unknowns, where
-    ``K(a_n)`` is the stiffness matrix weighted by the secant slopes
-    ``a_n = psi'(|grad u^n|)/|grad u^n|`` and ``b`` the load (with Dirichlet
-    elimination).  The energy never increases when ``psi'(t)/t`` is
-    nonincreasing (optimal design, p <= 2).  ``tau``, the step size of the
-    gradient flow, is accepted and ignored.
+    Each step solves ``K(a_n) delta = -DI(u^n)`` on the free unknowns and
+    sets ``u^{n+1} = u^n + delta``, where ``K(a_n)`` is the stiffness matrix
+    weighted by the secant slopes ``a_n = psi'(|grad u^n|)/|grad u^n|``:
+    Newton's step with ``K(a_n)`` for the Hessian.  Since ``Dphi(a) =
+    (psi'(|a|)/|a|) a``, the free rows of ``DI(u^n)`` are ``K(a_n) u^n - b``
+    (load ``b``, fixed values included), so ``u^{n+1}`` solves ``K(a_n)
+    u^{n+1} = b`` with the Dirichlet values eliminated, up to roundoff and
+    the regularization of the p-power ``slope_ratio``.  The energy never
+    increases when ``psi'(t)/t`` is nonincreasing (optimal design, p <= 2).
+    ``tau`` is accepted and ignored: ``pdbench/workloads.py`` passes it.
 
     On the CR space the step's stress ``a_n grad u^{n+1}`` is a linear CR
     solution's, so the flux ``z^{n+1} = a_n grad u^{n+1} - f_T (x - x_T)/2``
     is in RT0 with ``div z = -f_h`` (Marini's identity), and its discrete
     gap ``eta_lin = I_h(u^{n+1}) - D_h(z^{n+1})`` (``D_h``: the
     ``quadrature="mean"`` dual energy) bounds ``I_h(u^{n+1}) - min I_h``.
-    Unless ``eps_stop`` is given, the solve stops once ``eta_lin <= GAMMA
-    eta_bar^2`` (up to roundoff) with ``GAMMA = 0.01``, where ``eta_bar^2``
-    is the :func:`~pdgap.estimators.eta_hat_sq` total of the vertex average of
+    The solve stops once ``eta_lin <= GAMMA eta_bar^2`` (up to roundoff)
+    with ``GAMMA = 0.01``, where ``eta_bar^2`` is the
+    :func:`~pdgap.estimators.eta_hat_sq` total of the vertex average of
     ``u^{n+1}`` (Dirichlet vertices set to ``vertex_dirichlet``, default
     zero) against ``z^{n+1}``.  The report's ``stress`` is the last step's.
 
     On the P1 space ``dual`` is a fixed discrete dual value ``D_h(z)`` of
     the level, e.g. the CR flux's: by discrete weak duality ``D_h(z) <=
     min I_CR <= min I_P1``, so ``I_h(u^n) - D_h(z)`` bounds what any further
-    step can still gain.  Unless ``eps_stop`` is given, the solve stops once
-    a step gains at most ``GAMMA`` of that gap, ``I_h(u^{n-1}) - I_h(u^n)
-    <= GAMMA (I_h(u^n) - D_h(z)) + 1e-12 (|I_h(u^n)| + |D_h(z)|)``; a
-    non-finite ``dual`` never stops it.  A P1 solve given neither
-    ``eps_stop`` nor ``dual`` raises :class:`ValueError`.
-
-    With ``eps_stop``, on either space, the solve stops once the broken H1
-    seminorm of the increment is at most ``eps_stop``.
+    step can still gain.  The solve stops once a step gains at most
+    ``GAMMA`` of that gap, ``I_h(u^{n-1}) - I_h(u^n) <= GAMMA (I_h(u^n) -
+    D_h(z)) + 1e-12 (|I_h(u^n)| + |D_h(z)|)``; a non-finite ``dual`` never
+    stops it.  A P1 solve without ``dual`` raises :class:`ValueError`.
     """
-    if eps_stop is not None:
-        rule = "increment"
-    elif problem.space == "cr":
-        rule = "gap"
-    elif dual is not None:
-        rule = "decrease"
-    else:
-        raise ValueError("a P1 flow solve needs eps_stop or the level's dual")
-    mesh = problem.mesh
+    if problem.space == "p1" and dual is None:
+        raise ValueError("a P1 flow solve needs the level's dual value")
     u = problem.initial_state() if u0 is None else problem.impose_dirichlet(u0)
-    free = np.flatnonzero(problem.free_mask)
-    load_vec = np.zeros(problem.num_dofs)
-    np.add.at(load_vec, problem.dof_map.ravel(),
-              np.repeat(mesh.areas * problem.load.values / 3.0, 3))
-
-    coupling = _fixed_value_coupling(problem)
-
+    free = problem.free_mask
     energies = [problem.energy(u)]
     steps = 0
     stress = None
     step_solver = _RecycledSpdSolver()
+    grads = problem.broken_gradient(u)
     while True:
         slopes = problem.density.slope_ratio(
-            np.sqrt(np.sum(problem.broken_gradient(u) ** 2, axis=-1)))
+            np.sqrt(np.sum(grads ** 2, axis=-1)))
         A = problem.weighted_stiffness(slopes)
         # couplings across right angles vanish exactly; stored zeros would
         # still enter the fill-reducing ordering
         A.eliminate_zeros()
-        rhs = load_vec[free]
-        if coupling is not None:
-            rhs -= _weighted_form_fixed_part(problem, slopes, coupling)
-        unew = u.copy()
-        unew[free] = step_solver.solve(A.T, rhs)  # A is symmetric
+        # A is symmetric, so A.T is its CSC form
+        u[free] += step_solver.solve(A.T, -problem.gradient(u)[free])
+        grads = problem.broken_gradient(u)
         steps += 1
-        energies.append(problem.energy(unew))
+        energies.append(problem.energy(u))
         if problem.space == "cr":
-            stress = slopes[:, None] * problem.broken_gradient(unew)
-        if rule == "gap":
-            converged = _gap_below_tolerance(problem, unew, stress,
+            stress = slopes[:, None] * grads
+            converged = _gap_below_tolerance(problem, u, stress,
                                              energies[-1], vertex_dirichlet)
-        elif rule == "decrease":
+        else:
             roundoff = 1e-12 * (abs(energies[-1]) + abs(dual))
             converged = bool(np.isfinite(dual)) and (
                 energies[-2] - energies[-1]
                 <= GAMMA * (energies[-1] - dual) + roundoff)
-        else:
-            converged = problem.increment_seminorm(unew - u) <= eps_stop
-        u = unew
         if converged or steps >= max_iter:
             break
     reason = ("iteration limit reached" if not converged
-              else {"gap": "discrete gap below tolerance",
-                    "decrease": "energy decrease below tolerance",
-                    "increment": "increment below tolerance"}[rule])
+              else "discrete gap below tolerance" if problem.space == "cr"
+              else "energy decrease below tolerance")
     report = SolverReport(method="flow", converged=converged,
                           iterations=steps, energy=energies[-1],
                           energies=energies,
@@ -610,30 +581,6 @@ def _gap_below_tolerance(problem: DiscreteProblem, u: np.ndarray,
         node_average(u_cr, dirichlet_values=gv), z, problem.density)
     roundoff = 1e-12 * (abs(energy) + abs(dual))
     return energy - dual <= GAMMA * float(np.sum(eta_A + eta_D_hat)) + roundoff
-
-
-def _fixed_value_coupling(problem: DiscreteProblem) -> np.ndarray | None:
-    """(nt, 3) unweighted local stiffness applied to the fixed values.
-
-    ``None`` when every fixed value is zero, so that the coupling vanishes.
-    """
-    fixed_vals = np.where(problem.fixed_mask, problem.dirichlet_values, 0.0)
-    if not np.any(fixed_vals):
-        return None
-    grads = problem.broken_gradient(fixed_vals)
-    return np.einsum("td,tjd->tj", grads, problem.basis_grads)
-
-
-def _weighted_form_fixed_part(problem: DiscreteProblem, weights: np.ndarray,
-                              coupling: np.ndarray) -> np.ndarray:
-    """Free-row entries of the weighted stiffness applied to the fixed values.
-
-    ``coupling`` is :func:`_fixed_value_coupling` of ``problem``.
-    """
-    cell = (problem.mesh.areas * weights)[:, None] * coupling
-    out = np.zeros(problem.num_dofs)
-    np.add.at(out, problem.dof_map.ravel(), cell.ravel())
-    return out[problem.free_mask]
 
 
 def solve_problem(problem: DiscreteProblem, solver: str = "newton", **kwargs):

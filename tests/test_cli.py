@@ -359,13 +359,13 @@ def test_solver_defaults_follow_the_problem():
     cfg = _config_from_args(parser.parse_args(
         ["run", "--problem", "optimal-design"]))
     assert cfg.solver == "flow"
-    assert cfg.solver_options == {"tau": 1.0}
+    assert cfg.solver_options == {}
 
 
 def test_iteration_cap_flag_passes_through():
     cfg = _config_from_args(build_parser().parse_args(
         ["run", "--problem", "optimal-design", "--max-iter", "7"]))
-    assert cfg.solver_options == {"tau": 1.0, "max_iter": 7}
+    assert cfg.solver_options == {"max_iter": 7}
 
 
 def test_config_flags_map_onto_run_options():

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdgap.energy_models import OptimalDesignDensity, PPowerDensity
-from pdgap.estimators import dual_energy, eta_hat_sq, primal_energy
+from pdgap.estimators import _feasible, dual_energy, eta_hat_sq, primal_energy
 from pdgap.fespaces import CrFunction, PwConstant, Rt0Field, node_average
-from pdgap.mesh import (Triangulation, make_lshape_mesh, refine,
-                        uniform_refine)
+from pdgap.mesh import (Triangulation, make_lshape_mesh, make_square_mesh,
+                        refine, uniform_refine)
 from pdgap.reconstruction import (MariniField, flux_mismatch,
                                   marini_reconstruct,
                                   verify_discrete_optimality)
@@ -208,22 +208,24 @@ def test_marini_field_is_rt0_subclass():
     assert z.coeffs.shape == (mesh.num_sides,)
 
 
-_LSHAPE = make_lshape_mesh()
+_BASES = (make_lshape_mesh(), make_square_mesh(4))
 
 
 @st.composite
-def _refined_lshapes(draw):
-    """The L-shape with permuted vertex and triangle numbers, random D/N
-    boundary labels (at least one D), and two rounds of random marking."""
-    order = np.array(draw(st.permutations(range(_LSHAPE.num_vertices))))
+def _refined_meshes(draw):
+    """The L-shape or the unit square with permuted vertex and triangle
+    numbers, random D/N boundary labels (at least one D), and two rounds of
+    random marking."""
+    base = draw(st.sampled_from(_BASES))
+    order = np.array(draw(st.permutations(range(base.num_vertices))))
     new_id = np.argsort(order)
-    triangles = new_id[_LSHAPE.triangles][
-        np.array(draw(st.permutations(range(_LSHAPE.num_triangles))))]
-    boundary = _LSHAPE.sides[_LSHAPE.boundary_side_ids]
+    triangles = new_id[base.triangles][
+        np.array(draw(st.permutations(range(base.num_triangles))))]
+    boundary = base.sides[base.boundary_side_ids]
     labels = draw(st.lists(st.sampled_from("DN"), min_size=len(boundary),
                            max_size=len(boundary)))
     labels[draw(st.integers(0, len(labels) - 1))] = "D"
-    mesh = Triangulation(_LSHAPE.vertices[order], triangles, {
+    mesh = Triangulation(base.vertices[order], triangles, {
         tuple(sorted(new_id[pair].tolist())): lab
         for pair, lab in zip(boundary, labels)})
     for _ in range(2):
@@ -233,22 +235,41 @@ def _refined_lshapes(draw):
     return mesh
 
 
+_UNIT = st.floats(-1.0, 1.0, allow_subnormal=False)
+# bounded away from zero: with f_h = 0 and affine data the discrete solution
+# is affine, the bracket has zero width and D <= I holds only to roundoff
+_LOAD = st.one_of(st.floats(-2.0, -0.25), st.floats(0.25, 2.0))
+
+
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)
-@given(mesh=_refined_lshapes(),
+@given(mesh=_refined_meshes(),
        density=st.one_of(st.just(OptimalDesignDensity()),
                          st.floats(1.1, 3.0).map(PPowerDensity)),
        solver=st.sampled_from(["flow", "newton"]),
-       max_iter=st.integers(1, 5))
-def test_capped_solve_keeps_the_bracket(mesh, density, solver, max_iter):
+       max_iter=st.integers(1, 5),
+       affine=st.tuples(_UNIT, _UNIT, _UNIT),
+       data=st.data())
+def test_capped_solve_keeps_the_bracket(mesh, density, solver, max_iter,
+                                        affine, data):
     # however early the solve stops, the flux of its last linear solve is
-    # feasible, so the averaged candidate and that flux bracket the energy
-    f_h = PwConstant(mesh, np.ones(mesh.num_triangles))
-    prob = DiscreteProblem(mesh, density, f_h, space="cr")
-    u, report = solve_problem(prob, solver=solver, max_iter=max_iter)
+    # feasible, so the averaged candidate and that flux bracket the energy;
+    # Dirichlet data g = c + b.x, a piecewise-constant load
+    f_h = PwConstant(mesh, np.array(data.draw(st.lists(
+        _LOAD, min_size=mesh.num_triangles, max_size=mesh.num_triangles))))
+    c, b0, b1 = affine
+
+    def g(x):
+        return c + b0 * x[:, 0] + b1 * x[:, 1]
+
+    gv = g(mesh.vertices)
+    prob = DiscreteProblem(mesh, density, f_h, space="cr",
+                           dirichlet=g(mesh.side_midpoints))
+    options = {"vertex_dirichlet": gv} if solver == "flow" else {}
+    u, report = solve_problem(prob, solver=solver, max_iter=max_iter,
+                              **options)
     u_cr = CrFunction(mesh, u)
     z = marini_reconstruct(u_cr, density, f_h, stress=report.stress)
-    candidate = node_average(u_cr,
-                             dirichlet_values=np.zeros(mesh.num_vertices))
+    candidate = node_average(u_cr, dirichlet_values=gv)
     trace = candidate.values[mesh.sides].mean(axis=1)
     dual = dual_energy(z, density, f_h, boundary_values=trace)
     assert dual <= primal_energy(candidate, density, f_h)
@@ -260,9 +281,32 @@ def test_capped_solve_keeps_the_bracket(mesh, density, solver, max_iter):
     assert np.all(parts.eta_sq <= parts.eta_hat_sq + roundoff)
     continuous = (np.max(np.abs(z.mismatch))
                   <= 1e-10 * np.max(np.abs(z.coeffs)))
+    # with inhomogeneous data the start is flat inside, and a p-power
+    # linearization weights its flat elements by kappa^(p-2): the continuity
+    # is then lost to roundoff (see the xfail test below), and only the
+    # feasibility test's verdict stands behind D <= I
+    flat_start = (isinstance(density, PPowerDensity) and density.p != 2.0
+                  and np.any(gv))
     if solver == "newton" and isinstance(density, OptimalDesignDensity):
         # the plateau Hessian is singular, so a Newton system may have no
         # solution and its flux no continuity; the feasibility test says so
         assert continuous or dual == -np.inf
-    else:
+    elif not flat_start:
         assert continuous
+
+
+@pytest.mark.xfail(strict=True, reason="the weights kappa^(p-2) of a flat "
+                   "start's elements lose the flux's continuity to roundoff")
+@pytest.mark.parametrize("solver", ["flow", "newton"])
+def test_one_step_from_a_flat_start_gives_a_feasible_flux(solver):
+    # Dirichlet data g = y: the start is g on the boundary and zero inside,
+    # and at p = 1.1 its flat elements weigh about 1e9 times the others
+    mesh = make_lshape_mesh()
+    f_h = PwConstant(mesh, np.ones(mesh.num_triangles))
+    density = PPowerDensity(1.1)
+    prob = DiscreteProblem(mesh, density, f_h, space="cr",
+                           dirichlet=mesh.side_midpoints[:, 1])
+    u, report = solve_problem(prob, solver=solver, max_iter=1)
+    z = marini_reconstruct(prob.function(u), density, f_h,
+                           stress=report.stress)
+    assert _feasible(z, f_h)

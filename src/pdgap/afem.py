@@ -15,6 +15,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .energy_models import OptimalDesignDensity
 from .estimators import (EstimatorBreakdown, dual_energy, eta_hat_sq,
                          eta_res_sq, primal_energy, rho_F_sq, rho_I_sq)
 from .fespaces import (CrFunction, P1Function, PwConstant, node_average,
@@ -43,20 +44,19 @@ CSV_COLUMNS = ("k", "N", "elements", "eta_hat_sq", "eta_sq", "eta_res_sq",
 class AfemConfig:
     """Parameters of one adaptive run.
 
-    ``theta`` is the bulk-marking parameter in (0,1); ``eps_stop`` stops the
-    loop once the guaranteed squared estimator total drops to or below it
-    (default 0: run all iterations).  ``conforming`` selects how the
-    conforming candidate is built ("minimize": solve the conforming
-    minimization problem; "average": vertex-average the nonconforming
-    minimizer).  ``solver``/``solver_options`` configure the nonlinear solver
-    used at every level; ``mark_with`` chooses the marking indicators
-    ("pd": guaranteed gap indicators, "residual": residual indicators);
-    ``uniform`` replaces marking by all elements; ``interior_node`` also
-    splits marked elements at their barycenter during refinement.
+    ``theta`` is the bulk-marking parameter in (0,1); the loop runs
+    ``max_iterations`` levels unless a solver fails or nothing is marked.
+    ``conforming`` selects how the conforming candidate is built
+    ("minimize": solve the conforming minimization problem; "average":
+    vertex-average the nonconforming minimizer).  ``solver``/
+    ``solver_options`` configure the nonlinear solver used at every level;
+    ``mark_with`` chooses the marking indicators ("pd": guaranteed gap
+    indicators, "residual": residual indicators); ``uniform`` replaces
+    marking by all elements; ``interior_node`` also splits marked elements
+    at their barycenter during refinement.
     """
 
     theta: float = 0.5
-    eps_stop: float = 0.0
     max_iterations: int = 20
     conforming: str = "minimize"
     solver: str = "newton"
@@ -68,8 +68,6 @@ class AfemConfig:
     def __post_init__(self):
         if not 0.0 < self.theta < 1.0:
             raise ValueError("theta must lie in (0, 1)")
-        if self.eps_stop < 0.0:
-            raise ValueError("eps_stop must be nonnegative")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.conforming not in _CONFORMING_MODES:
@@ -93,11 +91,8 @@ class AfemProblem:
     (:func:`~pdgap.estimators.rho_F_sq`), and ``rho_I_sq``, the energy
     distance (:func:`~pdgap.estimators.rho_I_sq`).  The constant-free gap
     bound is about ``rho_I_sq``; for p < 2 ``rho_sq`` may exceed the
-    estimator.  ``reference_energy`` instead reports the conforming energy
-    minus this reference in ``rho_sq`` (for problems whose minimizer is not
-    accessible pointwise), and ``rho_I_sq`` is then not-a-number.
-    ``residual_p`` overrides the growth exponent used by the residual
-    indicators and by the F-metric (default: the density exponent, or 2).
+    estimator; without it both columns are not-a-number.  The residual
+    indicators and the F-metric use the density's exponent ``p``, or 2.
     """
 
     mesh: Triangulation
@@ -105,9 +100,7 @@ class AfemProblem:
     load: Any
     dirichlet: Callable | None = None
     exact_gradient: Callable | None = None
-    reference_energy: float | None = None
     label: str = ""
-    residual_p: float | None = None
 
     def load_means(self, mesh: Triangulation) -> PwConstant:
         if callable(self.load):
@@ -125,8 +118,6 @@ class AfemProblem:
         return np.asarray(self.dirichlet(mesh.vertices), dtype=float)
 
     def growth_exponent(self) -> float:
-        if self.residual_p is not None:
-            return float(self.residual_p)
         return float(getattr(self.density, "p", 2.0))
 
 
@@ -165,16 +156,14 @@ class LevelState:
 class AfemTrace:
     """Recorded adaptive run: per-iteration rows plus metadata.
 
-    ``cr_energies`` holds the nonconforming minimal energies (one per
-    recorded iteration; not a CSV column).  ``failed``/``failure_reason``
-    flag a solver breakdown, in which case the rows cover only the completed
-    iterations.  ``final`` keeps the discrete fields of the last completed
-    iteration.
+    ``problem`` is the problem's label.  ``cr_energies`` holds the
+    nonconforming minimal energies (one per recorded iteration; not a CSV
+    column).  ``failed``/``failure_reason`` flag a solver breakdown, in
+    which case the rows cover only the completed iterations.  ``final``
+    keeps the discrete fields of the last completed iteration.
     """
 
-    config: AfemConfig
     problem: str = ""
-    seed: int | None = None
     records: list[AfemRecord] = field(default_factory=list)
     cr_energies: list[float] = field(default_factory=list)
     failed: bool = False
@@ -188,18 +177,15 @@ class AfemTrace:
         dtype = int if name in ("k", "N", "elements") else float
         return np.array([getattr(r, name) for r in self.records], dtype=dtype)
 
-    def csv_text(self) -> str:
+    def to_csv(self, path) -> None:
         lines = [",".join(CSV_COLUMNS)]
         for r in self.records:
             cells = [str(r.k), str(r.N), str(r.elements)]
             cells += [format(getattr(r, name), ".17g")
                       for name in CSV_COLUMNS[3:]]
             lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
-
-    def to_csv(self, path) -> None:
         with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(self.csv_text())
+            fh.write("\n".join(lines) + "\n")
 
 
 def read_trace_csv(path) -> list[AfemRecord]:
@@ -288,24 +274,20 @@ def _trace_side_means(v: P1Function) -> np.ndarray:
     return 0.5 * (v.values[mesh.sides[:, 0]] + v.values[mesh.sides[:, 1]])
 
 
-def _error_columns(problem: AfemProblem, candidate: P1Function,
-                   primal: float) -> tuple[float, float]:
+def _error_columns(problem: AfemProblem,
+                   candidate: P1Function) -> tuple[float, float]:
     """The ``rho_sq`` and ``rho_I_sq`` columns of one level.  The exact
     gradient is evaluated once and shared by both measures."""
-    nan = float("nan")
-    if problem.exact_gradient is not None:
-        mesh = candidate.mesh
-        exact = np.asarray(problem.exact_gradient(
-            RULE_ORDER4.points(mesh.triangle_coords)), dtype=float)
-        return (rho_F_sq(candidate, exact, problem.growth_exponent()),
-                rho_I_sq(candidate, exact, problem.density))
-    if problem.reference_energy is not None:
-        return primal - problem.reference_energy, nan
-    return nan, nan
+    if problem.exact_gradient is None:
+        return float("nan"), float("nan")
+    mesh = candidate.mesh
+    exact = np.asarray(problem.exact_gradient(
+        RULE_ORDER4.points(mesh.triangle_coords)), dtype=float)
+    return (rho_F_sq(candidate, exact, problem.growth_exponent()),
+            rho_I_sq(candidate, exact, problem.density))
 
 
-def afem_run(problem: AfemProblem, cfg: AfemConfig,
-             seed: int | None = None) -> AfemTrace:
+def afem_run(problem: AfemProblem, cfg: AfemConfig) -> AfemTrace:
     """Run the adaptive loop and record one trace row per iteration.
 
     Per iteration: minimize over the nonconforming space (warm-started from
@@ -314,14 +296,20 @@ def afem_run(problem: AfemProblem, cfg: AfemConfig,
     not that solve reached the minimizer), build the conforming candidate
     (the flow solver's P1 solve stops against that flux's discrete dual
     value), evaluate the guaranteed indicators and energies, and record.
-    The loop then stops if the squared estimator total is at most
-    ``cfg.eps_stop``, else marks (Doerfler on the configured indicators, or
-    every element with ``cfg.uniform``) and refines.  A solver failure at
-    any level stops the run with the rows recorded so far and ``failed``
-    set.  The ``seconds`` column measures the solve-to-estimate span of each
-    iteration and is the only run-to-run-dependent column.
+    Unless it was the last level, the loop then marks (Doerfler on the
+    configured indicators, or every element with ``cfg.uniform``) and
+    refines.  A solver failure at any level stops the run with the rows
+    recorded so far and ``failed`` set.  The run is deterministic: the
+    ``seconds`` column, the solve-to-estimate span of each iteration, is
+    the only run-to-run-dependent column.  Newton on the optimal-design
+    density raises ``ValueError`` before any level: its plateau Hessian is
+    singular, so the last Newton system may have no solution.
     """
-    trace = AfemTrace(config=cfg, problem=problem.label, seed=seed)
+    if cfg.solver == "newton" and isinstance(problem.density,
+                                             OptimalDesignDensity):
+        raise ValueError('the optimal-design density needs solver="flow": '
+                         "its Hessian is singular on the plateau")
+    trace = AfemTrace(problem=problem.label)
     mesh = problem.mesh
     previous: CrFunction | None = None
 
@@ -364,7 +352,7 @@ def afem_run(problem: AfemProblem, cfg: AfemConfig,
         dual = dual_energy(flux, problem.density, f_h,
                            boundary_values=_trace_side_means(candidate))
         seconds = time.perf_counter() - started
-        rho, rho_I = _error_columns(problem, candidate, primal)
+        rho, rho_I = _error_columns(problem, candidate)
 
         trace.records.append(AfemRecord(
             k=k, N=mesh.num_vertices, elements=mesh.num_triangles,
@@ -379,8 +367,6 @@ def afem_run(problem: AfemProblem, cfg: AfemConfig,
                                  candidate=candidate, indicators=indicators,
                                  residual=residual)
 
-        if indicators.eta_hat_sq_total <= cfg.eps_stop:
-            break
         if k == cfg.max_iterations - 1:
             break
 

@@ -336,10 +336,11 @@ def run_benchmark(spec: BenchmarkSpec, cfg: AfemConfig, out_dir,
     coefficient, and per-unknown solution CSVs for the final level.
     Returns 0 on success and 1 (with a diagnostic on stderr) when the
     nonlinear solver failed; the partial trace is still written.
+    ``seed`` is accepted and ignored: the run is deterministic.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    trace = afem_run(spec.make_problem(), cfg, seed=seed)
+    trace = afem_run(spec.make_problem(), cfg)
     trace = spec.fill_reference_error(trace)
 
     trace.to_csv(out / "trace.csv")
@@ -396,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--mesh", default=None,
                      help="initial mesh file (default: L-shape)")
     run.add_argument("--out-dir", dest="out_dir", default=".")
-    run.add_argument("--seed", type=int, default=0)
     run.add_argument("--dump-indicators", dest="dump_indicators",
                      metavar="PATH", default=None)
     run.add_argument("--dump-flux", dest="dump_flux", metavar="PATH",
@@ -431,7 +431,7 @@ def main(argv=None) -> int:
     spec = BenchmarkSpec(problem=args.problem, p=args.p, mu1=args.mu1,
                          mu2=args.mu2, lam=args.lam, mesh=mesh)
     return run_benchmark(spec, _config_from_args(args), args.out_dir,
-                         seed=args.seed, dump_indicators=args.dump_indicators,
+                         dump_indicators=args.dump_indicators,
                          dump_flux=args.dump_flux,
                          dump_fields=args.dump_fields)
 

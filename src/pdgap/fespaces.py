@@ -69,10 +69,6 @@ class P1Function:
         g = self.values[self.mesh.triangles]
         return (g[:, 0] + g[:, 1] + g[:, 2]) / 3.0
 
-    def at_points(self, points: np.ndarray) -> np.ndarray:
-        return _broken_affine_at(self.mesh, self.element_means(),
-                                 self.gradients(), points)
-
 
 class CrFunction:
     """Crouzeix-Raviart function given by side midpoint values (ns,)."""
@@ -103,10 +99,6 @@ class CrFunction:
         """(nt,) integral means (= mean of the three midpoint values)."""
         g = self.values[self.mesh.tri_sides]
         return (g[:, 0] + g[:, 1] + g[:, 2]) / 3.0
-
-    def at_points(self, points: np.ndarray) -> np.ndarray:
-        return _broken_affine_at(self.mesh, self.element_means(),
-                                 self.gradients(), points)
 
 
 class Rt0Field:
@@ -157,24 +149,13 @@ class Rt0Field:
         return self.at_points(self.mesh.triangle_coords)
 
 
-def _broken_affine_at(mesh, means, grads, points):
-    rel = points - mesh.barycenters[:, None, :]
-    return means[:, None] + np.einsum("td,tqd->tq", grads, rel)
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
 
 def project_pw(mesh: Triangulation, f, rule: TriangleRule = RULE_ORDER4) -> PwConstant:
-    """Elementwise integral means of ``f`` (callable on (..., 2) points or a
-    per-triangle value array)."""
-    f_arr = f if not callable(f) else None
-    if f_arr is not None:
-        vals = np.asarray(f_arr, dtype=float)
-        if vals.shape != (mesh.num_triangles,):
-            raise ValueError("per-triangle values must have shape (nt,)")
-        return PwConstant(mesh, vals.copy())
+    """Elementwise integral means of ``f``, a callable on (..., 2) point
+    arrays, by the quadrature ``rule``."""
     pts = rule.points(mesh.triangle_coords)
     return PwConstant(mesh, np.asarray(f(pts), dtype=float) @ rule.weights)
 
@@ -201,9 +182,9 @@ def node_average(v: CrFunction, dirichlet_values=None) -> P1Function:
     """Conforming approximation by arithmetic vertex averaging.
 
     Each vertex value is the mean of the broken corner values over the
-    incident triangles.  If ``dirichlet_values`` is given (array over all
-    vertices, or callable on coordinates), vertices on the Dirichlet boundary
-    are overridden with those values.
+    incident triangles.  If ``dirichlet_values`` is given (an array over all
+    vertices), vertices on the Dirichlet boundary are overridden with those
+    values.
     """
     mesh = v.mesh
     corner = v.triangle_vertex_values()
@@ -212,11 +193,8 @@ def node_average(v: CrFunction, dirichlet_values=None) -> P1Function:
     counts = np.bincount(mesh.triangles.ravel(), minlength=mesh.num_vertices)
     averaged = sums / counts
     if dirichlet_values is not None:
-        gv = (np.asarray(dirichlet_values(mesh.vertices), dtype=float)
-              if callable(dirichlet_values)
-              else np.asarray(dirichlet_values, dtype=float))
         mask = mesh.dirichlet_vertex_mask
-        averaged[mask] = gv[mask]
+        averaged[mask] = np.asarray(dirichlet_values, dtype=float)[mask]
     return P1Function(mesh, averaged)
 
 

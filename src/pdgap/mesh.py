@@ -74,7 +74,6 @@ class Triangulation:
     boundary_labels : mapping from boundary vertex pairs to 'D'/'N' that
         names every boundary side exactly once, in either vertex order, or
         the string 'dirichlet' to label every boundary side Dirichlet.
-    generation : optional (nt,) int array of refinement generation tags.
 
     Attributes (all derived, treat as read-only)
     --------------------------------------------
@@ -90,8 +89,7 @@ class Triangulation:
         its ancestor in the refined mesh's source, else None.
     """
 
-    def __init__(self, vertices, triangles, boundary_labels="dirichlet",
-                 generation=None):
+    def __init__(self, vertices, triangles, boundary_labels="dirichlet"):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
@@ -200,8 +198,6 @@ class Triangulation:
                 miss = self.sides[np.flatnonzero(unlabeled)[0]]
                 raise MeshError(f"unlabeled boundary side {tuple(miss)}")
 
-        self.generation = (np.zeros(nt, dtype=np.int32) if generation is None
-                           else np.asarray(generation, dtype=np.int32).copy())
         self.parent_elements: np.ndarray | None = None
 
     # -- basic counts -------------------------------------------------------
@@ -421,9 +417,6 @@ def _refine_once(mesh: Triangulation, marked: np.ndarray) -> tuple[Triangulation
     put(red, 2, (m2, m1, v2))
     put(red, 3, (m0, m1, m2))
 
-    gen = np.repeat(mesh.generation, counts)
-    gen[np.repeat(nmark, counts) > 0] += 1
-
     # Carry boundary labels: a split boundary side passes its label to both
     # halves through the inserted midpoint vertex.
     labels: dict[tuple[int, int], str] = {}
@@ -437,13 +430,14 @@ def _refine_once(mesh: Triangulation, marked: np.ndarray) -> tuple[Triangulation
         else:
             labels[_side_key(a, b)] = lab
 
-    refined = Triangulation(new_verts, children, labels, generation=gen)
+    refined = Triangulation(new_verts, children, labels)
     return refined, parents
 
 
 def refine(mesh: Triangulation, marked, interior_node: bool = False) -> Triangulation:
     """Red-green-blue refinement of the marked triangles.
 
+    ``marked`` holds triangle ids (a sequence or an integer array).
     Marked triangles are red-refined (a new vertex on each of their sides);
     green/blue closure keeps the mesh conforming.  With ``interior_node=True``
     a second red pass refines the central child of every originally marked
@@ -454,12 +448,7 @@ def refine(mesh: Triangulation, marked, interior_node: bool = False) -> Triangul
     an (equal) copy.
     """
     marked_mask = np.zeros(mesh.num_triangles, dtype=bool)
-    marked_idx = np.asarray(list(marked) if not isinstance(marked, np.ndarray)
-                            else marked)
-    if marked_idx.dtype == bool:
-        marked_mask = marked_idx.copy()
-    elif marked_idx.size:
-        marked_mask[marked_idx.astype(np.int64)] = True
+    marked_mask[np.asarray(marked, dtype=np.int64)] = True
 
     refined, parents = _refine_once(mesh, marked_mask)
     if interior_node and marked_mask.any():

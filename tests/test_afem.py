@@ -77,7 +77,7 @@ def test_mark_minimal_cardinality_random():
 
 @pytest.mark.parametrize("bad", [
     dict(theta=0.0), dict(theta=1.0), dict(theta=-0.2),
-    dict(eps_stop=-1e-9), dict(max_iterations=0),
+    dict(max_iterations=0),
     dict(conforming="project"), dict(solver="lbfgs"), dict(mark_with="h"),
 ])
 def test_config_rejects_invalid_values(bad):
@@ -87,7 +87,7 @@ def test_config_rejects_invalid_values(bad):
 
 def test_config_defaults():
     cfg = AfemConfig()
-    assert cfg.theta == 0.5 and cfg.eps_stop == 0.0
+    assert cfg.theta == 0.5
     assert cfg.max_iterations == 20 and not cfg.uniform
 
 
@@ -163,12 +163,6 @@ def test_uniform_flag_quadruples_elements():
     assert trace.column("elements").tolist() == [8, 32, 128]
 
 
-def test_large_eps_stop_records_single_iteration():
-    trace = afem_run(_lshape_problem(), AfemConfig(eps_stop=1e10,
-                                                   max_iterations=20))
-    assert len(trace.records) == 1 and not trace.failed
-
-
 def test_solver_failure_flags_partial_trace():
     cfg = AfemConfig(max_iterations=5, solver_options=dict(max_iter=0))
     trace = afem_run(_lshape_problem(p=1.6), cfg)
@@ -211,6 +205,19 @@ def test_flow_solver_keeps_weak_duality():
     assert np.all(np.isfinite(trace.column("D_dual")))
 
 
+def test_newton_on_optimal_design_is_rejected_before_any_level(monkeypatch):
+    # the plateau Hessian is singular, so Newton cannot promise a bracket
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a level ran")
+
+    monkeypatch.setattr("pdgap.afem.solve_problem", no_solve)
+    problem = AfemProblem(mesh=make_lshape_mesh(),
+                          density=OptimalDesignDensity(1.0, 2.0, 0.0145),
+                          load=1.0)
+    with pytest.raises(ValueError, match='solver="flow"'):
+        afem_run(problem, AfemConfig(solver="newton"))
+
+
 def test_flow_study_energies_fall_and_bracket_holds():
     # the P1 solve stops once a step gains little against the CR flux's
     # dual value; the candidates must still improve from level to level
@@ -241,15 +248,6 @@ def test_flow_solver_stops_on_an_exactly_solved_level():
     assert not trace.failed and len(trace.records) == 3
     assert np.all(np.abs(trace.column("discrete_gap")) <= 1e-12)
     assert np.all(trace.column("eta_hat_sq") <= 1e-12)
-
-
-def test_reference_energy_populates_error_column():
-    problem = AfemProblem(mesh=make_square_mesh(2), density=P2, load=1.0,
-                          reference_energy=-1.0)
-    trace = afem_run(problem, AfemConfig(max_iterations=2))
-    rho = trace.column("rho_sq")
-    assert np.allclose(rho, trace.column("I_primal") + 1.0)
-    assert np.all(np.isnan(trace.column("rho_I_sq")))
 
 
 def test_exact_gradient_populates_both_error_columns():
@@ -345,7 +343,7 @@ def test_identical_config_reproduces_trace():
 
 
 def test_trace_column_accessor_validates_name():
-    trace = AfemTrace(config=AfemConfig())
+    trace = AfemTrace()
     with pytest.raises(KeyError):
         trace.column("nope")
     assert trace.column("k").size == 0

@@ -180,7 +180,6 @@ def test_spec_builds_two_phase_problem():
     assert problem.load == 1.0
     assert problem.dirichlet is None
     assert problem.exact_gradient is None
-    assert problem.reference_energy is None
 
 
 def test_spec_mesh_override():
@@ -196,7 +195,7 @@ def _fake_trace(primal_energies):
                           I_primal=e, D_dual=e - 0.1,
                           discrete_gap=0.1, seconds=0.0)
                for k, e in enumerate(primal_energies)]
-    return AfemTrace(config=AfemConfig(), problem="fake", records=records)
+    return AfemTrace(problem="fake", records=records)
 
 
 def test_reference_error_fill_from_energy_extrapolation():
@@ -386,6 +385,13 @@ def test_main_end_to_end(tmp_path):
                  "--iters", "2", "--out-dir", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "trace.csv").exists()
+
+
+def test_main_rejects_newton_for_optimal_design(tmp_path):
+    with pytest.raises(ValueError, match='solver="flow"'):
+        main(["run", "--problem", "optimal-design", "--solver", "newton",
+              "--out-dir", str(tmp_path)])
+    assert not (tmp_path / "trace.csv").exists()
 
 
 def test_main_accepts_mesh_file(tmp_path):

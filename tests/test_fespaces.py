@@ -31,18 +31,6 @@ def test_affine_reproduction(lshape):
     assert np.allclose(cr.triangle_vertex_values(), _affine(m.triangle_coords))
 
 
-def test_at_points_matches_nodal_data(lshape):
-    m = lshape
-    rng = np.random.default_rng(1)
-    cr = CrFunction(m, rng.standard_normal(m.num_sides))
-    mids = m.side_midpoints[m.tri_sides]  # (nt, 3, 2)
-    vals = cr.at_points(mids)
-    assert np.allclose(vals, cr.values[m.tri_sides])
-    p1 = P1Function(m, rng.standard_normal(m.num_vertices))
-    assert np.allclose(p1.at_points(m.triangle_coords),
-                       p1.values[m.triangles])
-
-
 def test_rt0_represents_global_linear_field(lshape):
     m = lshape
     const, slope, center = np.array([0.3, -1.1]), 0.7, np.array([0.2, 0.4])
@@ -131,7 +119,7 @@ def test_node_average(lshape):
     assert np.allclose(averaged.values, _affine(m.vertices))
     rng = np.random.default_rng(6)
     v = CrFunction(m, rng.standard_normal(m.num_sides))
-    forced = node_average(v, dirichlet_values=lambda p: np.zeros(len(p)))
+    forced = node_average(v, dirichlet_values=np.zeros(m.num_vertices))
     assert np.allclose(forced.values[m.dirichlet_vertex_mask], 0.0)
     # interior vertices: plain average of incident corner values
     corner = v.triangle_vertex_values()
@@ -145,8 +133,6 @@ def test_node_average(lshape):
 def test_project_pw(lshape):
     m = lshape
     assert np.allclose(project_pw(m, _affine).values, _affine(m.barycenters))
-    direct = project_pw(m, np.arange(m.num_triangles, dtype=float))
-    assert np.allclose(direct.values, np.arange(m.num_triangles))
     const = project_pw(m, lambda p: np.ones(p.shape[:-1]))
     assert np.isclose(m.areas @ const.values, 3.0)
 
@@ -167,6 +153,44 @@ def test_prolongation_exact_for_members(lshape):
     fine_cr = prolong_cr(CrFunction(m, side_mean), fine)
     assert np.allclose(fine_cr.values, fine_w[fine.sides].mean(axis=1),
                        rtol=0.0, atol=1e-14)
+
+    # random inputs over a few rounds of random marking, with and without
+    # the interior node (whose parent map composes two refinement passes):
+    # a child inherits its parent's affine function whenever each of its
+    # sides takes its value from that parent.  That holds for every child
+    # of a P1 member.  For a general CR function it holds where each side is
+    # owned by a child of the same parent or is an unsplit coarse side; on a
+    # half of a split side the two parents disagree, and prolong_cr takes
+    # the value of the one that owns the side.
+    for interior_node in (False, True):
+        mesh = m
+        for _ in range(3):
+            marked = rng.choice(mesh.num_triangles,
+                                size=max(1, mesh.num_triangles // 8),
+                                replace=False)
+            fine = refine(mesh, marked, interior_node=interior_node)
+            parent = fine.parent_elements
+            sides = fine.tri_sides
+            own = parent[fine.side_tris[sides, 0]] == parent[:, None]
+            unsplit = (fine.sides[sides] < mesh.num_vertices).all(axis=2)
+            random_cr = rng.standard_normal(mesh.num_sides)
+            p1_member = rng.standard_normal(mesh.num_vertices)[mesh.sides]
+            for values, inherits in (
+                    (random_cr, (own | unsplit).all(axis=1)),
+                    (p1_member.mean(axis=1), np.ones(len(parent), bool))):
+                v = CrFunction(mesh, values)
+                w = prolong_cr(v, fine)
+                grads = v.gradients()[parent]
+                means = v.element_means()[parent] + np.einsum(
+                    "td,td->t", grads,
+                    fine.barycenters - mesh.barycenters[parent])
+                assert np.count_nonzero(inherits) > len(marked)
+                for got, want in ((w.gradients(), grads),
+                                  (w.element_means(), means)):
+                    assert np.allclose(got[inherits], want[inherits],
+                                       rtol=0.0,
+                                       atol=1e-12 * np.abs(want).max())
+            mesh = fine
 
 
 def test_prolongation_requires_parent_map(lshape):

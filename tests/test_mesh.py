@@ -189,7 +189,6 @@ def test_uniform_refine(lshape):
     assert out.num_triangles == 96 * 16
     _check_structure(out)
     assert np.isclose(out.min_angle(), 45.0, atol=1e-10)
-    assert np.all(out.generation == 2)
 
 
 def test_random_adaptive_refinements_stay_conforming(lshape):

@@ -27,7 +27,8 @@ from .solvers import DiscreteProblem, SolverReport, solve_problem
 
 __all__ = [
     "AfemConfig", "AfemProblem", "AfemRecord", "AfemTrace", "LevelState",
-    "afem_run", "conforming_candidate", "dorfler_mark", "read_trace_csv",
+    "afem_run", "check_solver", "conforming_candidate", "dorfler_mark",
+    "read_trace_csv",
 ]
 
 _CONFORMING_MODES = ("minimize", "average")
@@ -287,6 +288,13 @@ def _error_columns(problem: AfemProblem,
             rho_I_sq(candidate, exact, problem.density))
 
 
+def check_solver(density, solver: str) -> None:
+    """Reject Newton on the optimal-design density (:class:`ValueError`)."""
+    if solver == "newton" and isinstance(density, OptimalDesignDensity):
+        raise ValueError('the optimal-design density needs solver="flow": '
+                         "its Hessian is singular on the plateau")
+
+
 def afem_run(problem: AfemProblem, cfg: AfemConfig) -> AfemTrace:
     """Run the adaptive loop and record one trace row per iteration.
 
@@ -305,10 +313,7 @@ def afem_run(problem: AfemProblem, cfg: AfemConfig) -> AfemTrace:
     density raises ``ValueError`` before any level: its plateau Hessian is
     singular, so the last Newton system may have no solution.
     """
-    if cfg.solver == "newton" and isinstance(problem.density,
-                                             OptimalDesignDensity):
-        raise ValueError('the optimal-design density needs solver="flow": '
-                         "its Hessian is singular on the plateau")
+    check_solver(problem.density, cfg.solver)
     trace = AfemTrace(problem=problem.label)
     mesh = problem.mesh
     previous: CrFunction | None = None

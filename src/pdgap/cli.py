@@ -17,7 +17,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .afem import AfemConfig, AfemProblem, AfemTrace, afem_run
+from .afem import (AfemConfig, AfemProblem, AfemTrace, afem_run,
+                   check_solver)
 from .energy_models import OptimalDesignDensity, PPowerDensity
 from .estimators import aitken_extrapolate
 from .fespaces import write_function_csv
@@ -427,10 +428,16 @@ def _config_from_args(args) -> AfemConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    mesh = load_mesh(args.mesh) if args.mesh else None
-    spec = BenchmarkSpec(problem=args.problem, p=args.p, mu1=args.mu1,
-                         mu2=args.mu2, lam=args.lam, mesh=mesh)
-    return run_benchmark(spec, _config_from_args(args), args.out_dir,
+    try:  # rejected input: one line and status 2, before any output
+        mesh = load_mesh(args.mesh) if args.mesh else None
+        spec = BenchmarkSpec(problem=args.problem, p=args.p, mu1=args.mu1,
+                             mu2=args.mu2, lam=args.lam, mesh=mesh)
+        cfg = _config_from_args(args)
+        check_solver(spec.make_problem().density, cfg.solver)
+    except (OSError, ValueError) as exc:
+        print(f"pdgap run: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+    return run_benchmark(spec, cfg, args.out_dir,
                          dump_indicators=args.dump_indicators,
                          dump_flux=args.dump_flux,
                          dump_fields=args.dump_fields)

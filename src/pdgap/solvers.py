@@ -6,43 +6,37 @@
 
 over the Crouzeix-Raviart space (``space="cr"``, one unknown per side
 midpoint) or the conforming P1 space (``space="p1"``, one unknown per
-vertex), with Dirichlet values eliminated.  Two solvers are provided, both
-stepping ``u <- u + delta`` with ``A(u) delta = -DI(u)`` on the free
-unknowns:
+vertex), with Dirichlet values eliminated.  Both solvers run one descent
+loop with one step-length rule: ``u <- u + t delta`` with ``A(u) delta =
+-DI(u)`` on the free unknowns, and ``t`` from a line search to the energy's
+minimum along ``delta`` (a regula falsi on the directional derivative until
+the strong Wolfe curvature condition holds, accepted under Armijo).  They
+differ in the linearization ``A`` and the stop rule:
 
-* :func:`newton_solve` -- ``A`` the density's (possibly regularized)
-  Hessian, each step going to the energy's minimum along its direction: a
-  regula falsi on the directional derivative until the strong Wolfe
-  curvature condition holds, accepted under the Armijo condition;
+* :func:`newton_solve` -- the density's (possibly regularized) Hessian,
+  stopped on the residual;
 * :func:`gradient_flow_solve` -- the Kacanov iteration, the tau -> infinity
-  limit of the semi-implicit gradient flow: ``A`` the stiffness matrix
-  weighted by the secant slopes, and the full step, which lands on the
-  solution of the weighted-Laplacian system with the load.
+  limit of the semi-implicit gradient flow: the stiffness matrix weighted
+  by the secant slopes, stopped on CR by the guaranteed discrete gap of its
+  flux and on P1 once a step gains little against a given dual value.
 
 On the CR space both report the elementwise stress of their last linear
 solve (:attr:`SolverReport.stress`).  It solves a *linear* CR problem, so by
 Marini's identity :func:`~pdgap.reconstruction.marini_reconstruct` turns it
 into a flux in H(div) with ``div z = -f_h``, up to the linear solve's
 backward error, however far the iterate is from the discrete minimizer.
-The CR Kacanov solve stops on the guaranteed discrete gap of that flux,
-and the P1 Kacanov solve once a step gains little against a given discrete
-dual value; Newton keeps its residual test.
 
-Every linear system either solver meets is symmetric positive definite.
-All of them are factorized the same way: SuperLU in symmetric mode, with a
-minimum-degree ordering of ``A + A^T`` and diagonal pivots, which gives
-far less fill than the default column ordering.  It builds no relaxed
-supernodes and no panels (``relax=1, panel_size=1``): the supernodes of
-these 2-D finite-element matrices are tiny, so SciPy's defaults mostly add
-BLAS call overhead, and at the same fill a factorization takes about a
-third less time.  Every solve, direct or preconditioned CG, is then checked
-against a 1e-12 backward-error bound.
+Every linear system either solver meets is symmetric positive definite,
+and all of them are factorized the same way (:func:`_spd_factor_solve`).
+Every solve, direct or preconditioned CG, is checked against a 1e-12
+backward-error bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, partial
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -76,13 +70,16 @@ def _check_backward_error(A: sp.spmatrix, x: np.ndarray,
 def _spd_factor_solve(A: sp.spmatrix, b: np.ndarray):
     """Factorize the SPD matrix ``A`` and solve ``A x = b``.
 
-    Symmetric-mode SuperLU with a minimum-degree ordering of ``A + A^T``,
-    diagonal pivots, and neither relaxed supernodes nor panels
-    (``relax=1, panel_size=1``).  The last two leave the fill unchanged
-    and cut the factorization time by about a third: on p = 1.2 CR
-    Hessians of the uniformly refined L-shape, 28 -> 17 ms at 9k,
-    170 -> 107 ms at 37k and 0.90 -> 0.56 s at 147k unknowns (one thread,
-    median of 5).  ``relax=2`` was no faster than SciPy's default.
+    Symmetric-mode SuperLU with a minimum-degree ordering of ``A + A^T``
+    and diagonal pivots, which gives far less fill than the default column
+    ordering, and with neither relaxed supernodes nor panels (``relax=1,
+    panel_size=1``): the supernodes of these 2-D finite-element matrices
+    are tiny, so SciPy's defaults mostly add BLAS call overhead.  The last
+    two leave the fill unchanged and cut the factorization time by about a
+    third: on p = 1.2 CR Hessians of the uniformly refined L-shape, 28 ->
+    17 ms at 9k, 170 -> 107 ms at 37k and 0.90 -> 0.56 s at 147k unknowns
+    (one thread, median of 5).  ``relax=2`` was no faster than SciPy's
+    default.
 
     Returns the SuperLU factor and ``x``.  Raises :class:`ArithmeticError`
     if the factorization meets an exactly zero pivot or the solution misses
@@ -101,13 +98,10 @@ def _spd_factor_solve(A: sp.spmatrix, b: np.ndarray):
 
 
 def linear_solve(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
-    """Direct solve of ``A x = b`` for a symmetric positive definite ``A``.
-
-    ``A`` must be SPD: the symmetric-mode factorization takes its pivots
-    from the diagonal in a minimum-degree order of ``A + A^T`` and does not
-    pivot for stability.  A singular matrix, or a solution that fails the
-    1e-12 backward-error check, raises :class:`ArithmeticError`.
-    """
+    """Direct solve of ``A x = b`` for a symmetric positive definite ``A``
+    (:func:`_spd_factor_solve` takes diagonal pivots).  A singular matrix,
+    or a solution that fails the 1e-12 backward-error check, raises
+    :class:`ArithmeticError`."""
     return _spd_factor_solve(A, b)[1]
 
 
@@ -119,14 +113,13 @@ _REFRESH_AFTER = 20
 class _RecycledSpdSolver:
     """Direct solves with factorization reuse for slowly varying SPD systems.
 
-    The first system is factorized as in :func:`linear_solve` (symmetric
-    mode, minimum-degree ordering); subsequent ones are solved by conjugate
-    gradients preconditioned with the retained factorization (consecutive
-    gradient-flow matrices differ only through the lagged weights), and the
-    factorization is refreshed once a solve takes more than
-    :data:`_REFRESH_AFTER` iterations.  Every solve meets the same 1e-12
-    backward-error contract as :func:`linear_solve`: a CG result whose true
-    residual misses it is replaced by a fresh factorization's solve.
+    The first system is factorized as in :func:`linear_solve`; later ones
+    are solved by CG preconditioned with the retained factorization
+    (consecutive Kacanov matrices differ only through the lagged weights),
+    and the factorization is refreshed once a solve takes more than
+    :data:`_REFRESH_AFTER` iterations.  A CG result that misses the 1e-12
+    backward-error bound of :func:`linear_solve` is replaced by a fresh
+    factorization's solve.
     """
 
     def __init__(self):
@@ -293,9 +286,6 @@ class DiscreteProblem:
         return sp.csr_matrix((data, indices.copy(), indptr.copy()),
                              shape=(n, n))
 
-    def residual_norm(self, u: np.ndarray) -> float:
-        return float(np.linalg.norm(self.gradient(u)[self.free_mask]))
-
 
 @dataclass
 class SolverReport:
@@ -314,70 +304,62 @@ class SolverReport:
     stress: np.ndarray | None = None
 
 
-def newton_solve(problem: DiscreteProblem, u0=None, tol_abs: float = 1e-8,
-                 tol_rel: float = 1e-10, max_iter: int = 60) -> tuple[np.ndarray, SolverReport]:
-    """Newton iteration with a line search to the energy's minimum along
-    each Newton direction.
+@dataclass
+class _Descent:
+    """What a stop rule sees: iterate, norms, energies, lazy stress."""
 
-    Stops once the free-residual norm drops below ``tol_abs`` or below
-    ``tol_rel`` times its initial value.  Returns the last iterate and a
-    report; a start at the exact solution reports zero iterations, and one
-    that reaches the iteration limit reports ``converged=False``.  Each
-    step length is chosen by :func:`_line_search`, and the full gradient it
-    computes at the accepted iterate gives both the residual norm and the
-    next right-hand side, so an iterate costs one gradient besides the
-    search's trials.
+    u: np.ndarray
+    norms: list[float]
+    energies: list[float]
+    stress: Callable[[], np.ndarray] | None = None
 
-    On the CR space the report's ``stress`` is that of the last Newton
-    system ``D2I(u) delta = -DI(u)``: ``Dphi(grad u) + D2phi(grad u) grad
-    delta``, taken for the full step ``delta`` whatever step length or
-    descent fallback was then applied.  A start that meets the tolerance
-    solves one such system for it.
-    """
+
+def _descend(problem: DiscreteProblem, u0, method: str, linearize, stop,
+             reason: str, max_iter: int) -> tuple[np.ndarray, SolverReport]:
+    """The one descent loop: ``u <- u + t delta``, ``A(u) delta = -DI(u)``.
+
+    ``linearize(u)`` returns the free-dof matrix ``A``, the linear solver
+    ``solve(A, b)`` and ``stress(delta)``, the stress of the linear problem
+    that the step ``delta`` solves; ``t`` comes from :func:`_line_search`.
+    The solve ends with ``reason`` once ``stop(state)`` holds before a step,
+    or after ``max_iter`` steps.  On CR, a solve without a step makes one
+    linear solve for the report's stress."""
     u = problem.initial_state() if u0 is None else problem.impose_dirichlet(u0)
     free = problem.free_mask
     grad = problem.gradient(u)
-    res0 = float(np.linalg.norm(grad[free]))
-    norms = [res0]
-    energies = [problem.energy(u)]
-    threshold = max(tol_abs, tol_rel * res0)
-    iterations = 0
-    reason = "residual below tolerance"
-    linearized = None  # (u, step) of the last linear solve
-    while norms[-1] > threshold:
-        if iterations >= max_iter:
-            reason = "iteration limit reached"
-            break
+    state = _Descent(u, [float(np.linalg.norm(grad[free]))],
+                     [problem.energy(u)])
+    while not (met := stop(state)) and len(state.energies) <= max_iter:
+        A, solve, stress = linearize(state.u)
         residual = grad[free]
-        step = linear_solve(problem.hessian(u), -residual)
-        linearized = (u, step)
+        step = solve(A, -residual)
+        state.stress = cache(partial(stress, step))
         slope = float(residual @ step)
         if slope >= 0:  # not a descent direction; fall back to steepest descent
             step = -residual
             slope = -float(residual @ residual)
-        _, u, grad, energy = _line_search(problem, u, step, slope,
-                                          energies[-1], norms[-1])
-        iterations += 1
-        norms.append(float(np.linalg.norm(grad[free])))
-        energies.append(energy)
-    stress = None
-    if problem.space == "cr":
-        if linearized is None:  # no step taken: u is the start, grad its own
-            linearized = (u, linear_solve(problem.hessian(u), -grad[free]))
-        stress = _newton_stress(problem, *linearized)
-    report = SolverReport(method="newton", converged=norms[-1] <= threshold,
-                          iterations=iterations, energy=energies[-1],
-                          residual_norms=norms, energies=energies,
-                          stop_reason=reason, stress=stress)
-    return u, report
+        _, state.u, grad, energy = _line_search(
+            problem, state.u, step, slope, state.energies[-1], state.norms[-1])
+        state.norms.append(float(np.linalg.norm(grad[free])))
+        state.energies.append(energy)
+    if problem.space == "cr" and state.stress is None:
+        A, solve, stress = linearize(state.u)
+        state.stress = partial(stress, solve(A, -grad[free]))
+    report = SolverReport(
+        method=method, converged=bool(met),
+        iterations=len(state.energies) - 1, energy=state.energies[-1],
+        residual_norms=state.norms, energies=state.energies,
+        stop_reason=reason if met else "iteration limit reached",
+        stress=state.stress() if problem.space == "cr" else None)
+    return state.u, report
 
 
-#: Curvature factor of Newton's line search: a step length ``t < 1`` is
+#: Curvature factor of the line search: a step length ``t < 1`` is
 #: searched for until ``|g(t)| <= C2 |g(0)|``, with ``g(t) = DI(u + t
 #: delta) . delta`` the energy's derivative along the direction ``delta``.
 C2 = 0.1
 
-#: Regula falsi trials after which Newton's line search takes the last one.
+#: Regula falsi trials after which the line search takes the last one.
 _SEARCH_TRIALS = 20
 
 
@@ -387,23 +369,20 @@ def _line_search(problem: DiscreteProblem, u: np.ndarray, step: np.ndarray,
 
     ``slope = g(0) < 0`` is the energy's derivative along ``step`` at ``u``,
     ``energy0`` the energy and ``norm0`` the free-residual norm there.  The
-    full step ``t = 1`` is tried first, and kept unless it overshoots the
-    minimum along ``step``, that is unless ``g(1) > C2 |g(0)|``.  Then the
-    convex energy's derivative ``g``, which is nondecreasing, is bracketed
-    by ``[0, 1]``, and a safeguarded regula falsi (Illinois) searches it
-    until ``|g(t)| <= C2 |g(0)|``: the strong Wolfe curvature condition
-    (Nocedal and Wright, Numerical Optimization, 2006, Sec. 3.1).
+    full step ``t = 1`` is kept unless it overshoots the minimum along
+    ``step``, that is unless ``g(1) > C2 |g(0)|``.  Then a safeguarded
+    regula falsi (Illinois) searches the bracket ``[0, 1]`` of the convex
+    energy's nondecreasing ``g`` until ``|g(t)| <= C2 |g(0)|``: the strong
+    Wolfe curvature condition (Nocedal and Wright, Numerical Optimization,
+    2006, Sec. 3.1).
 
-    The step length found is accepted only if it meets the Armijo condition
-    ``I(u + t step) <= energy0 + 1e-4 t slope``; otherwise ``t`` is halved
-    until it does, for at most 39 halvings, the last trial being accepted
-    regardless.  Once the Armijo decrease vanishes against the energy in
-    floating point, the energy cannot rank the trials, and a trial is
-    accepted if it lowers the free-residual norm below ``norm0`` instead.
-
-    Every trial is evaluated through :meth:`DiscreteProblem.gradient` and
-    :meth:`DiscreteProblem.energy`.  Returns the accepted step length and
-    state, the state's full gradient vector and its energy.
+    ``t`` is then halved until the Armijo condition ``I(u + t step) <=
+    energy0 + 1e-4 t slope`` holds, for at most 39 halvings, the last trial
+    being accepted regardless.  Once the Armijo decrease vanishes against
+    the energy in floating point, a trial is accepted if it lowers the
+    free-residual norm below ``norm0`` instead.  Returns the accepted step
+    length and state, the state's full gradient vector and its energy, each
+    computed through :class:`DiscreteProblem`.
     """
     free = problem.free_mask
 
@@ -460,21 +439,36 @@ def _line_search(problem: DiscreteProblem, u: np.ndarray, step: np.ndarray,
     return t, x, grad, energy
 
 
-def _newton_stress(problem: DiscreteProblem, u: np.ndarray,
-                   step: np.ndarray) -> np.ndarray:
-    """``Dphi(grad u) + D2phi(grad u) grad delta`` for the free-dof step."""
-    delta = np.zeros(problem.num_dofs)
-    delta[problem.free_mask] = step
-    grads = problem.broken_gradient(u)
-    return problem.density.dphi(grads) + np.einsum(
-        "tde,te->td", problem.density.d2phi(grads),
-        problem.broken_gradient(delta))
+def newton_solve(problem: DiscreteProblem, u0=None, tol_abs: float = 1e-8,
+                 tol_rel: float = 1e-10, max_iter: int = 60) -> tuple[np.ndarray, SolverReport]:
+    """Newton iteration: :func:`_descend` with the Hessian for ``A``.
+
+    Stops once the free-residual norm drops below ``tol_abs`` or below
+    ``tol_rel`` times its initial value, so a start at the exact solution
+    takes no step.  On the CR space the report's ``stress`` is that of the
+    last Newton system: ``Dphi(grad u) + D2phi(grad u) grad delta``.
+    """
+    free = problem.free_mask
+
+    def linearize(u):
+        def stress(step):
+            delta = np.zeros(problem.num_dofs)
+            delta[free] = step
+            grads = problem.broken_gradient(u)
+            return problem.density.dphi(grads) + np.einsum(
+                "tde,te->td", problem.density.d2phi(grads),
+                problem.broken_gradient(delta))
+        return problem.hessian(u), linear_solve, stress
+
+    def stop(state):
+        return state.norms[-1] <= max(tol_abs, tol_rel * state.norms[0])
+
+    return _descend(problem, u0, "newton", linearize, stop,
+                    "residual below tolerance", max_iter)
 
 
-#: Stop factor of the Kacanov solve: on CR it stops once the discrete gap
-#: of its iterate is at most ``GAMMA`` times the estimate that iterate
-#: feeds, on P1 once a step lowers the energy by at most ``GAMMA`` times the
-#: gap to the level's dual value that is left.
+#: Stop factor of the Kacanov solve: against the estimate on CR, against
+#: the gap to the level's dual value that is left on P1.
 GAMMA = 0.01
 
 
@@ -485,89 +479,82 @@ def gradient_flow_solve(problem: DiscreteProblem, u0=None, tau: float = 1.0,
                         ) -> tuple[np.ndarray, SolverReport]:
     """Kacanov iteration, the tau -> infinity limit of the gradient flow.
 
-    Each step solves ``K(a_n) delta = -DI(u^n)`` on the free unknowns and
-    sets ``u^{n+1} = u^n + delta``, where ``K(a_n)`` is the stiffness matrix
-    weighted by the secant slopes ``a_n = psi'(|grad u^n|)/|grad u^n|``:
-    Newton's step with ``K(a_n)`` for the Hessian.  Since ``Dphi(a) =
-    (psi'(|a|)/|a|) a``, the free rows of ``DI(u^n)`` are ``K(a_n) u^n - b``
-    (load ``b``, fixed values included), so ``u^{n+1}`` solves ``K(a_n)
-    u^{n+1} = b`` with the Dirichlet values eliminated, up to roundoff and
-    the regularization of the p-power ``slope_ratio``.  The energy never
-    increases when ``psi'(t)/t`` is nonincreasing (optimal design, p <= 2).
-    ``tau`` is accepted and ignored: ``pdbench/workloads.py`` passes it.
+    :func:`_descend` with ``A = K(a_n)``, the stiffness matrix weighted by
+    the secant slopes ``a_n = psi'(|grad u^n|)/|grad u^n|``, solved by one
+    :class:`_RecycledSpdSolver`.  Since ``Dphi(a) = (psi'(|a|)/|a|) a``,
+    ``u^n + delta`` solves ``K(a_n) v = b`` (load ``b``, Dirichlet values
+    eliminated) up to roundoff and the p-power ``slope_ratio``'s
+    regularization.  When ``psi'(t)/t`` is nonincreasing (optimal design,
+    p <= 2) that step passes the line search's Armijo test: it lowers the
+    energy by at least ``|DI(u^n) . delta| / 2``.  ``tau`` is accepted and
+    ignored: ``pdbench/workloads.py`` passes it.
 
-    On the CR space the step's stress ``a_n grad u^{n+1}`` is a linear CR
-    solution's, so the flux ``z^{n+1} = a_n grad u^{n+1} - f_T (x - x_T)/2``
-    is in RT0 with ``div z = -f_h`` (Marini's identity), and its discrete
-    gap ``eta_lin = I_h(u^{n+1}) - D_h(z^{n+1})`` (``D_h``: the
-    ``quadrature="mean"`` dual energy) bounds ``I_h(u^{n+1}) - min I_h``.
-    The solve stops once ``eta_lin <= GAMMA eta_bar^2`` (up to roundoff)
-    with ``GAMMA = 0.01``, where ``eta_bar^2`` is the
+    On the CR space the step's stress ``a_n grad(u^n + delta)`` is a linear
+    CR solution's, so its flux ``z`` is in RT0 with ``div z = -f_h``
+    (Marini's identity), and the discrete gap ``eta_lin = I_h(u^{n+1}) -
+    D_h(z)`` (``D_h``: the ``quadrature="mean"`` dual energy) bounds
+    ``I_h(u^{n+1}) - min I_h``.  The solve stops once ``eta_lin <= GAMMA
+    eta_bar^2`` (up to roundoff), where ``eta_bar^2`` is the
     :func:`~pdgap.estimators.eta_hat_sq` total of the vertex average of
     ``u^{n+1}`` (Dirichlet vertices set to ``vertex_dirichlet``, default
-    zero) against ``z^{n+1}``.  The report's ``stress`` is the last step's.
+    zero) against ``z``.
 
-    On the P1 space ``dual`` is a fixed discrete dual value ``D_h(z)`` of
-    the level, e.g. the CR flux's: by discrete weak duality ``D_h(z) <=
-    min I_CR <= min I_P1``, so ``I_h(u^n) - D_h(z)`` bounds what any further
-    step can still gain.  The solve stops once a step gains at most
-    ``GAMMA`` of that gap, ``I_h(u^{n-1}) - I_h(u^n) <= GAMMA (I_h(u^n) -
-    D_h(z)) + 1e-12 (|I_h(u^n)| + |D_h(z)|)``; a non-finite ``dual`` never
-    stops it.  A P1 solve without ``dual`` raises :class:`ValueError`.
+    On the P1 space ``dual`` is a discrete dual value ``D_h(z)`` of the
+    level, e.g. the CR flux's, so by weak duality ``I_h(u^n) - D_h(z)``
+    bounds what any further step can gain.  The solve stops once a step
+    gains at most ``GAMMA`` of that gap, up to ``1e-12 (|I_h(u^n)| +
+    |D_h(z)|)``; a non-finite ``dual`` never stops it, and a P1 solve
+    without ``dual`` raises :class:`ValueError`.
     """
     if problem.space == "p1" and dual is None:
         raise ValueError("a P1 flow solve needs the level's dual value")
-    u = problem.initial_state() if u0 is None else problem.impose_dirichlet(u0)
     free = problem.free_mask
-    energies = [problem.energy(u)]
-    steps = 0
-    stress = None
     step_solver = _RecycledSpdSolver()
-    grads = problem.broken_gradient(u)
-    while True:
+    last = [None, None]  # u^n + delta and its gradient: after t = 1, u^n+1
+
+    def linearize(u):
+        grads = (last[1] if np.array_equal(last[0], u)
+                 else problem.broken_gradient(u))
         slopes = problem.density.slope_ratio(
             np.sqrt(np.sum(grads ** 2, axis=-1)))
         A = problem.weighted_stiffness(slopes)
         # couplings across right angles vanish exactly; stored zeros would
         # still enter the fill-reducing ordering
         A.eliminate_zeros()
+
+        def stress(step):
+            last[0] = u.copy()
+            last[0][free] += step
+            last[1] = problem.broken_gradient(last[0])
+            return slopes[:, None] * last[1]
         # A is symmetric, so A.T is its CSC form
-        u[free] += step_solver.solve(A.T, -problem.gradient(u)[free])
-        grads = problem.broken_gradient(u)
-        steps += 1
-        energies.append(problem.energy(u))
-        if problem.space == "cr":
-            stress = slopes[:, None] * grads
-            converged = _gap_below_tolerance(problem, u, stress,
-                                             energies[-1], vertex_dirichlet)
-        else:
-            roundoff = 1e-12 * (abs(energies[-1]) + abs(dual))
-            converged = bool(np.isfinite(dual)) and (
-                energies[-2] - energies[-1]
-                <= GAMMA * (energies[-1] - dual) + roundoff)
-        if converged or steps >= max_iter:
-            break
-    reason = ("iteration limit reached" if not converged
-              else "discrete gap below tolerance" if problem.space == "cr"
-              else "energy decrease below tolerance")
-    report = SolverReport(method="flow", converged=converged,
-                          iterations=steps, energy=energies[-1],
-                          energies=energies,
-                          residual_norms=[problem.residual_norm(u)],
-                          stop_reason=reason, stress=stress)
-    return u, report
+        return A.T, step_solver.solve, stress
+
+    def gap_stop(state):
+        return state.stress is not None and _gap_below_tolerance(
+            problem, state.u, state.stress(), state.energies[-1],
+            vertex_dirichlet)
+
+    def decrease_stop(state):
+        energies = state.energies
+        return len(energies) > 1 and bool(np.isfinite(dual)) and (
+            energies[-2] - energies[-1] <= GAMMA * (energies[-1] - dual)
+            + 1e-12 * (abs(energies[-1]) + abs(dual)))
+
+    if problem.space == "cr":
+        return _descend(problem, u0, "flow", linearize, gap_stop,
+                        "discrete gap below tolerance", max_iter)
+    return _descend(problem, u0, "flow", linearize, decrease_stop,
+                    "energy decrease below tolerance", max_iter)
 
 
 def _gap_below_tolerance(problem: DiscreteProblem, u: np.ndarray,
                          stress: np.ndarray, energy: float,
                          vertex_dirichlet: np.ndarray | None) -> bool:
     """The stop test ``eta_lin <= GAMMA eta_bar^2`` of the CR Kacanov solve
-    (see :func:`gradient_flow_solve`); ``energy`` is ``I_h(u)``.
-
-    A roundoff allowance of ``1e-12 (|I_h| + |D_h|)`` lets a level that is
-    solved exactly (``eta_bar^2 = 0``, e.g. an affine solution) stop.  A
-    flux that fails the feasibility test never stops the solve.
-    """
+    (see :func:`gradient_flow_solve`); ``energy`` is ``I_h(u)``.  Its
+    roundoff allowance ``1e-12 (|I_h| + |D_h|)`` lets an exactly solved
+    level stop; a flux that fails the feasibility test never stops it."""
     u_cr = CrFunction(problem.mesh, u)
     z = marini_reconstruct(u_cr, problem.density, problem.load, stress=stress)
     dual = dual_energy(z, problem.density, problem.load, boundary_values=u,

@@ -387,11 +387,45 @@ def test_main_end_to_end(tmp_path):
     assert (tmp_path / "trace.csv").exists()
 
 
-def test_main_rejects_newton_for_optimal_design(tmp_path):
-    with pytest.raises(ValueError, match='solver="flow"'):
-        main(["run", "--problem", "optimal-design", "--solver", "newton",
-              "--out-dir", str(tmp_path)])
-    assert not (tmp_path / "trace.csv").exists()
+def _rejected(tmp_path, capsys, *flags):
+    """The stderr of a ``pdgap run`` whose input is rejected: exit status
+    2, and no ``--out-dir`` made."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", *flags, "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("pdgap run: error: ") and err.count("\n") == 1
+    return err
+
+
+def test_main_rejects_newton_for_optimal_design(tmp_path, capsys):
+    err = _rejected(tmp_path, capsys, "--problem", "optimal-design",
+                    "--solver", "newton")
+    assert 'solver="flow"' in err
+
+
+def test_main_rejects_a_bad_benchmark_parameter(tmp_path, capsys):
+    err = _rejected(tmp_path, capsys, "--problem", "p-dirichlet", "--p", "1")
+    assert "p > 1" in err
+
+
+@pytest.mark.parametrize("content", [None, "3 1 0\n0 0\n1 0\n"],
+                         ids=["missing", "malformed"])
+def test_main_rejects_an_unreadable_mesh_file(tmp_path, capsys, content):
+    mesh_file = tmp_path / "bad.mesh"
+    if content is not None:
+        mesh_file.write_text(content)
+    _rejected(tmp_path, capsys, "--problem", "p-dirichlet", "--mesh",
+              str(mesh_file))
+
+
+def test_main_reports_a_solver_failure_with_status_1(tmp_path):
+    code = main(["run", "--problem", "p-dirichlet", "--p", "1.6", "--iters",
+                 "2", "--max-iter", "0", "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert read_trace_csv(tmp_path / "trace.csv") == []
 
 
 def test_main_accepts_mesh_file(tmp_path):

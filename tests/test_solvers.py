@@ -16,8 +16,8 @@ from pdgap.fespaces import PwConstant, node_average
 from pdgap.mesh import Triangulation, make_lshape_mesh, refine, uniform_refine
 from pdgap.quadrature import RULE_ORDER4, integrate
 from pdgap.reconstruction import marini_reconstruct
-from pdgap.solvers import (DiscreteProblem, gradient_flow_solve, linear_solve,
-                           newton_solve, solve_problem)
+from pdgap.solvers import (DiscreteProblem, gradient_flow_solve, newton_solve,
+                           solve_problem)
 
 
 def _lshape_problem(p=2.0, space="cr", level=0):
@@ -28,12 +28,17 @@ def _lshape_problem(p=2.0, space="cr", level=0):
 
 
 # ---------------------------------------------------------------------------
-# linear_solve
+# the SPD factor/solve routine of both solvers
 # ---------------------------------------------------------------------------
+
+def _direct_solve(A, b):
+    """``x`` of :func:`solvers._spd_factor_solve` on a fresh ordering."""
+    return solvers._spd_factor_solve(A, b)[1]
+
 
 def test_linear_solve_identity():
     b = np.array([3.0, -1.0, 2.0])
-    assert np.array_equal(linear_solve(sp.eye(3, format="csr"), b), b)
+    assert np.array_equal(_direct_solve(sp.eye(3, format="csr"), b), b)
 
 
 def test_linear_solve_tridiagonal_matches_dense():
@@ -42,7 +47,7 @@ def test_linear_solve_tridiagonal_matches_dense():
                  [-1, 0, 1], format="csr")
     rng = np.random.default_rng(0)
     b = rng.normal(size=n)
-    x = linear_solve(A, b)
+    x = _direct_solve(A, b)
     assert np.allclose(x, np.linalg.solve(A.toarray(), b), atol=1e-12)
 
 
@@ -51,7 +56,7 @@ def test_linear_solve_random_spd_residual():
     M = rng.normal(size=(50, 50))
     A = sp.csr_matrix(M.T @ M + np.eye(50))
     b = rng.normal(size=50)
-    x = linear_solve(A, b)
+    x = _direct_solve(A, b)
     assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -60,7 +65,7 @@ def test_linear_solve_rejects_singular():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy warns before returning NaNs
         with pytest.raises(ArithmeticError):
-            linear_solve(A, np.array([1.0, 0.0]))
+            _direct_solve(A, np.array([1.0, 0.0]))
 
 
 def test_spd_factor_has_less_fill_than_default_ordering():
@@ -69,7 +74,7 @@ def test_spd_factor_has_less_fill_than_default_ordering():
     rng = np.random.default_rng(3)
     H = prob.hessian(prob.impose_dirichlet(rng.normal(size=prob.num_dofs)))
     b = rng.normal(size=H.shape[0])
-    lu, x = solvers._spd_factor_solve(H, b)
+    lu, x, _ = solvers._spd_factor_solve(H, b)
     default = spla.splu(sp.csc_matrix(H))
     fill = lu.L.nnz + lu.U.nnz
     assert fill <= 0.6 * (default.L.nnz + default.U.nnz)
@@ -77,7 +82,7 @@ def test_spd_factor_has_less_fill_than_default_ordering():
 
 
 def test_both_solve_paths_share_one_factorization(monkeypatch):
-    # Newton (linear_solve) and the flow (_RecycledSpdSolver) factorize
+    # Newton (_SpdSolver) and the flow (_RecycledSpdSolver) factorize
     # with the same settings; dropping SciPy's relaxed supernodes and panels
     # changes neither the fill nor, beyond roundoff, the solution
     prob = _lshape_problem(p=1.2, level=3)
@@ -92,7 +97,7 @@ def test_both_solve_paths_share_one_factorization(monkeypatch):
         return splu(A, **kwargs)
 
     monkeypatch.setattr(solvers.spla, "splu", spy)
-    x = linear_solve(H, b)
+    x = solvers._SpdSolver().solve(H, b)
     solvers._RecycledSpdSolver().solve(H, b)
     assert len(calls) == 2 and calls[0] == calls[1]
     assert calls[0]["relax"] == 1 and calls[0]["panel_size"] == 1
@@ -117,13 +122,92 @@ def _spsolve_reference(A, b):
 def test_newton_p12_converges_to_tight_tolerance(monkeypatch, factorization):
     # near the solution the energy decrease of a Newton step falls below
     # the energy's roundoff, where only the residual can still decide
-    if factorization == "spsolve":
-        monkeypatch.setattr(solvers, "linear_solve", _spsolve_reference)
     prob = _lshape_problem(p=1.2, level=1)
     u0, _ = newton_solve(_lshape_problem(p=2.0, level=1), tol_abs=1e-12)
+    references = []
+    if factorization == "spsolve":
+        def reference(self, A, b):
+            references.append(1)
+            return _spsolve_reference(A, b)
+        monkeypatch.setattr(solvers._SpdSolver, "solve", reference)
     u, rep = newton_solve(prob, u0=u0, tol_abs=1e-9, tol_rel=0.0)
     assert rep.converged
     assert np.linalg.norm(prob.gradient(u)[prob.free_mask]) <= 1e-9
+    if factorization == "spsolve":  # every Newton system went through it
+        assert len(references) == rep.iterations > 0
+
+
+def _p12_hessians(level, count):
+    """CR Hessians of one sparsity pattern at ``count`` random states."""
+    prob = _lshape_problem(p=1.2, level=level)
+    rng = np.random.default_rng(7)
+    return [prob.hessian(prob.impose_dirichlet(rng.normal(size=prob.num_dofs)))
+            for _ in range(count)], rng.normal(size=prob.free_mask.sum())
+
+
+def test_reused_ordering_keeps_the_fill_and_the_backward_error():
+    (H0, H1), b = _p12_hessians(level=3, count=2)
+    _, _, ordering = solvers._spd_factor_solve(H0, b)
+    # SciPy's perm_c is a view whose base is the factor; the ordering keeps
+    # a copy, so that the first factor is freed before the next is made
+    assert ordering.perm_c.base is None
+    lu, x, kept = solvers._spd_factor_solve(H1, b, ordering)
+    fresh, x_fresh, _ = solvers._spd_factor_solve(H1, b)
+    assert kept is ordering and isinstance(lu, solvers._PermutedFactor)
+    assert lu.L.nnz + lu.U.nnz == fresh.L.nnz + fresh.U.nnz
+    residual = np.linalg.norm(H1 @ x - b)
+    scale = np.linalg.norm(b) + abs(H1).sum(axis=1).max() * np.linalg.norm(x)
+    assert residual <= 1e-12 * (1.0 + scale)
+    assert np.linalg.norm(x - x_fresh) <= 1e-12 * np.linalg.norm(x_fresh)
+
+
+def test_ordering_is_renewed_for_a_new_pattern():
+    # the p = 2 Hessian of the same mesh lacks the right-angle couplings
+    (H, _), b = _p12_hessians(level=2, count=2)
+    _, _, ordering = solvers._spd_factor_solve(H, b)
+    p2 = _lshape_problem(p=2.0, level=2)
+    other = p2.hessian(p2.initial_state())
+    assert other.shape == H.shape and other.nnz < H.nnz
+    lu, x, renewed = solvers._spd_factor_solve(other, b, ordering)
+    assert renewed is not ordering
+    assert not isinstance(lu, solvers._PermutedFactor)
+    assert np.linalg.norm(other @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_p2_hessian_stores_no_zeros_and_loses_fill():
+    # at p = 2 every CR coupling across a right angle vanishes exactly
+    prob = _lshape_problem(p=2.0, level=3)
+    rng = np.random.default_rng(4)
+    v = prob.impose_dirichlet(rng.normal(size=prob.num_dofs))
+    H = prob.hessian(v)
+    assert not np.any(H.data == 0.0)
+    B = prob.basis_grads
+    stored = _coo_reference(prob, prob.mesh.areas[:, None, None] * (
+        B @ prob.density.d2phi(prob.broken_gradient(v)) @ B.transpose(0, 2, 1)))
+    assert np.count_nonzero(stored.data == 0.0) > 0.2 * stored.nnz
+    b = rng.normal(size=H.shape[0])
+    lu, x, _ = solvers._spd_factor_solve(H, b)
+    lu_stored, x_stored, _ = solvers._spd_factor_solve(stored, b)
+    assert lu.L.nnz + lu.U.nnz <= 0.7 * (lu_stored.L.nnz + lu_stored.U.nnz)
+    assert np.linalg.norm(x - x_stored) <= 1e-12 * np.linalg.norm(x_stored)
+
+
+def test_newton_orders_once_per_solve(monkeypatch):
+    # from the p = 2 solution, as the adaptive loop warm-starts; a flat
+    # start has an isotropic Hessian, whose right-angle couplings vanish
+    prob = _lshape_problem(p=1.2, level=2)
+    u0, _ = newton_solve(_lshape_problem(p=2.0, level=2), tol_abs=1e-12)
+    orderings = []
+    splu = spla.splu
+
+    def spy(A, **kwargs):
+        orderings.append(kwargs["permc_spec"])
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(solvers.spla, "splu", spy)
+    _, rep = newton_solve(prob, u0=u0, tol_abs=1e-8)
+    assert rep.converged and rep.iterations > 2
+    assert orderings == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (rep.iterations - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +273,11 @@ def test_flow_step_matrix_transpose_is_its_csc_form(space):
                            space=space)
     weights = rng.uniform(0.5, 2.0, size=mesh.num_triangles)
     A = prob.weighted_stiffness(weights)
-    assert np.any(A.data == 0.0)  # couplings across right angles
-    A.eliminate_zeros()
+    assert not np.any(A.data == 0.0)
     local = (mesh.areas * weights)[:, None, None] * np.einsum(
         "tid,tjd->tij", prob.basis_grads, prob.basis_grads)
     ref = sp.csc_matrix(_coo_reference(prob, local))
+    assert np.any(ref.data == 0.0)  # couplings across right angles
     ref.eliminate_zeros()
     step = A.T
     assert step.format == "csc"
@@ -342,20 +426,22 @@ def test_newton_one_step_for_quadratic_energy():
     assert np.linalg.norm(prob.gradient(u)[prob.free_mask]) <= 1e-12
     # the one step is the full Newton step, t = 1
     start, free = prob.initial_state(), prob.free_mask
-    step = linear_solve(prob.hessian(start), -prob.gradient(start)[free])
+    step = _direct_solve(prob.hessian(start), -prob.gradient(start)[free])
     assert np.array_equal(u[free], start[free] + step)
 
 
 def _spy_line_search(monkeypatch):
-    """Record ``(t, g(0), I(u), I(u + t delta), g(t))`` of every accepted
-    step, with ``g`` the energy's derivative along the direction."""
+    """Record ``(t, g(0), I(u), I(u + t delta), g(t), |r(u)|, |r(u + t
+    delta)|)`` of every accepted step, with ``g`` the energy's derivative
+    along the direction and ``r`` the free residual."""
     calls = []
     search = solvers._line_search
 
     def spy(problem, u, step, slope, energy0, norm0):
         t, x, grad, energy = search(problem, u, step, slope, energy0, norm0)
-        g = float(grad[problem.free_mask] @ step)
-        calls.append((t, slope, energy0, energy, g))
+        residual = grad[problem.free_mask]
+        calls.append((t, slope, energy0, energy, float(residual @ step),
+                      norm0, float(np.linalg.norm(residual))))
         return t, x, grad, energy
 
     monkeypatch.setattr(solvers, "_line_search", spy)
@@ -369,12 +455,19 @@ def test_newton_line_search_meets_armijo_and_curvature(monkeypatch):
     u, rep = newton_solve(prob, u0=u0, tol_abs=1e-6, tol_rel=0.0)
     assert rep.converged and len(calls) == rep.iterations
     assert any(t < 1 for t, *_ in calls)  # the search itself is exercised
-    for t, slope, energy0, energy, g in calls:
+    decided = []  # whether Armijo can decide the step in floating point
+    for t, slope, energy0, energy, g, norm0, norm in calls:
         assert slope < 0 and 0 < t <= 1
-        assert energy <= energy0 + 1e-4 * t * slope  # Armijo
+        target = energy0 + 1e-4 * t * slope
+        decided.append(target < energy0)
+        if decided[-1]:
+            assert energy <= target  # Armijo
+        else:  # the documented roundoff branch: the residual must fall
+            assert norm < norm0
         if t < 1:
             assert abs(g) <= solvers.C2 * abs(slope)  # strong Wolfe
-    assert np.all(np.diff(rep.energies) <= 0)
+    assert any(decided)
+    assert np.all(np.diff(rep.energies)[decided] <= 0)
 
 
 #: Newton iterations of the test below when each step halved ``t`` until
@@ -497,7 +590,7 @@ def test_recycled_solver_tracks_drifting_systems(monkeypatch):
         b = rng.standard_normal(n)
         x = solver.solve(A, b)
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
-        assert np.allclose(x, linear_solve(A, b), atol=1e-10)
+        assert np.allclose(x, _direct_solve(A, b), atol=1e-10)
 
 
 def test_recycled_solver_checks_the_true_residual_of_cg(monkeypatch):

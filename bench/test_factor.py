@@ -1,13 +1,14 @@
 """Layer micro-benchmark: one SPD factorization and solve.
 
-Times ``pdgap.solvers._spd_factor_solve``, the routine behind every Newton
-step and every flow refactorization, on Crouzeix-Raviart Hessians of the
-uniformly refined L-shape at about 10k, 40k and 150k unknowns: p = 1.2
-Hessians, which have no exact zeros, and p = 2 Hessians, whose couplings
-across right angles are exact zeros that the assembly does not store.
+Times ``pdgap.solvers._SpdSolver.solve``, the factorization and solve
+behind every Newton step and every flow refactorization, on
+Crouzeix-Raviart Hessians of the uniformly refined L-shape at about 10k,
+40k and 150k unknowns: p = 1.2 Hessians, which have no exact zeros, and
+p = 2 Hessians, whose couplings across right angles are exact zeros that
+the assembly does not store.
 ``test_spd_factor_solve_on_a_reused_ordering`` times the later systems of
-a solve: a second p = 1.2 Hessian of the same pattern, factorized on the
-ordering of the first.  The directory is outside the Tier-1
+a solve: a second p = 1.2 Hessian of the same pattern, factorized by the
+solver that ordered the first.  The directory is outside the Tier-1
 ``testpaths``; run it with
 
     PYTHONPATH=src OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 \\
@@ -22,7 +23,7 @@ import pytest
 from pdgap.energy_models import PPowerDensity
 from pdgap.fespaces import PwConstant
 from pdgap.mesh import make_lshape_mesh, uniform_refine
-from pdgap.solvers import DiscreteProblem, _spd_factor_solve
+from pdgap.solvers import DiscreteProblem, _SpdSolver
 
 # uniform refinement levels: 9088, 36608 and 146944 free CR unknowns
 LEVELS = {"10k": 3, "40k": 4, "150k": 5}
@@ -49,18 +50,20 @@ def system(request):
 @pytest.fixture(scope="module", params=list(LEVELS))
 def reused(request):
     (first, hessian), b = _hessians(request.param, 1.2, count=2)
-    _, _, ordering = _spd_factor_solve(first, b)
-    _spd_factor_solve(hessian, b, ordering)  # the gather map, built once
-    return hessian, b, ordering
+    solver = _SpdSolver()
+    solver.solve(first, b)
+    solver.solve(hessian, b)  # the gather map, built once
+    return solver, hessian, b
 
 
 def test_spd_factor_solve(benchmark, system):
     hessian, b = system
-    _, x, _ = benchmark(_spd_factor_solve, hessian, b)
+    x = benchmark(lambda: _SpdSolver().solve(hessian, b))
     assert np.isfinite(x).all()
 
 
 def test_spd_factor_solve_on_a_reused_ordering(benchmark, reused):
-    hessian, b, ordering = reused
-    _, x, kept = benchmark(_spd_factor_solve, hessian, b, ordering)
-    assert kept is ordering and np.isfinite(x).all()
+    solver, hessian, b = reused
+    kept = solver._perm_c
+    x = benchmark(solver.solve, hessian, b)
+    assert solver._perm_c is kept and np.isfinite(x).all()

@@ -197,14 +197,15 @@ def emit_plot(trace, columns, path, logy: bool = True,
               guide_slope: float | None = -0.5, title: str = "") -> None:
     """Write a deterministic SVG convergence plot.
 
-    One polyline (with point markers) per selected trace column versus N,
-    on a log-log scale by default, plus a dashed guide line of the given
-    slope (pass ``guide_slope=None`` to omit it).  ``logy=False`` switches
-    to a linear vertical axis (for energy curves, which may be negative).
-    Rows whose value is not plottable (non-finite, or nonpositive on a log
-    axis) are skipped.  An empty trace is an error.
+    One polyline (with point markers) per selected column of
+    ``trace.records`` versus N, on a log-log scale by default, plus a
+    dashed guide line of the given slope (pass ``guide_slope=None`` to omit
+    it).  ``logy=False`` switches to a linear vertical axis (for energy
+    curves, which may be negative).  Rows whose value is not plottable
+    (non-finite, or nonpositive on a log axis) are skipped.  An empty trace
+    is an error.
     """
-    records = getattr(trace, "records", trace)
+    records = trace.records
     if not records:
         raise ValueError("cannot plot an empty trace")
     series = []

@@ -163,15 +163,13 @@ def project_pw(mesh: Triangulation, f, rule: TriangleRule = RULE_ORDER4) -> PwCo
 def write_function_csv(fn, path) -> None:
     """Serialize a finite element function to ``dof_id,value`` CSV rows.
 
-    Works for any object with a flat ``values`` or ``coeffs`` array (vertex,
-    side-midpoint, or normal-flux unknowns); values carry 17 significant
-    digits so they round-trip exactly.
+    Works for any object with a flat ``values`` array (vertex or
+    side-midpoint unknowns); values carry 17 significant digits so they
+    round-trip exactly.
     """
     values = getattr(fn, "values", None)
     if values is None:
-        values = getattr(fn, "coeffs", None)
-    if values is None:
-        raise TypeError("object has no 'values' or 'coeffs' array")
+        raise TypeError("object has no 'values' array")
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write("dof_id,value\n")
         for i, v in enumerate(np.asarray(values, dtype=float)):

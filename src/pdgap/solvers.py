@@ -27,8 +27,8 @@ into a flux in H(div) with ``div z = -f_h``, up to the linear solve's
 backward error, however far the iterate is from the discrete minimizer.
 
 Every linear system either solver meets is symmetric positive definite,
-is assembled without stored zeros, and is factorized the same way
-(:func:`_spd_factor_solve`): the first system of a nonlinear solve on a
+is assembled in CSC form without stored zeros, and is factorized by one
+:class:`_SpdSolver` per nonlinear solve: the first system on a
 minimum-degree ordering, the later ones on that same ordering while the
 sparsity pattern stays.  Every solve, direct or preconditioned CG, is
 checked against a 1e-12 backward-error bound on the unpermuted matrix.
@@ -37,7 +37,7 @@ checked against a 1e-12 backward-error bound on the unpermuted matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -69,129 +69,90 @@ def _check_backward_error(A: sp.spmatrix, x: np.ndarray,
             f"linear solve failed: residual {residual:.3e} vs scale {scale:.3e}")
 
 
-class _Ordering:
-    """A fill-reducing symmetric permutation of one CSC sparsity pattern.
-
-    ``perm_c`` is the column permutation of a SuperLU factor of a matrix
-    with this pattern: unknown ``j`` goes to position ``perm_c[j]``.  The
-    inverse and the map that gathers ``P A P^T`` from ``A.data`` are built
-    on the first :meth:`permute`, so an ordering that is never reused
-    costs nothing.
-    """
-
-    def __init__(self, A: sp.csc_matrix, perm_c: np.ndarray):
-        self.indptr, self.indices = A.indptr, A.indices
-        self.perm_c = perm_c
-
-    @cached_property
-    def order(self) -> np.ndarray:
-        """The unknown at each position: the inverse of ``perm_c``."""
-        order = np.empty_like(self.perm_c)
-        order[self.perm_c] = np.arange(self.perm_c.size)
-        return order
-
-    def fits(self, A: sp.csc_matrix) -> bool:
-        """Whether ``A`` has this ordering's pattern."""
-        return (np.array_equal(A.indptr, self.indptr)
-                and np.array_equal(A.indices, self.indices))
-
-    @cached_property
-    def _gather(self):
-        """``(slots, indptr, indices)`` of ``P A P^T`` in CSC form, with
-        ``(P A P^T).data = A.data[slots]``."""
-        n = self.indptr.size - 1
-        cols = np.repeat(self.perm_c.astype(np.int64), np.diff(self.indptr))
-        rows = self.perm_c[self.indices]
-        slots = np.argsort(cols * n + rows)
-        indptr = np.zeros(n + 1, dtype=self.indptr.dtype)
-        np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
-        return slots, indptr, rows[slots].astype(self.indices.dtype)
-
-    def permute(self, A: sp.csc_matrix) -> sp.csc_matrix:
-        """``P A P^T`` for ``A`` with this ordering's pattern."""
-        slots, indptr, indices = self._gather
-        return sp.csc_matrix((A.data[slots], indices, indptr), shape=A.shape)
-
-
-class _PermutedFactor:
-    """SuperLU factor of ``P A P^T`` whose ``solve`` takes and returns
-    vectors in ``A``'s numbering; other attributes are the factor's."""
-
-    def __init__(self, lu, ordering: _Ordering):
-        self._lu = lu
-        self._ordering = ordering
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return self._lu.solve(b[self._ordering.order])[self._ordering.perm_c]
-
-    def __getattr__(self, name):
-        return getattr(self._lu, name)
-
-
-def _spd_factor_solve(A: sp.spmatrix, b: np.ndarray,
-                      ordering: _Ordering | None = None):
-    """Factorize the SPD matrix ``A`` and solve ``A x = b``.
-
-    Symmetric-mode SuperLU with diagonal pivots and with neither relaxed
-    supernodes nor panels (``relax=1, panel_size=1``): the supernodes of
-    these 2-D finite-element matrices are tiny, so SciPy's defaults mostly
-    add BLAS call overhead.  The last two leave the fill unchanged and cut
-    the factorization time by about a third: on p = 1.2 CR Hessians of the
-    uniformly refined L-shape, 28 -> 17 ms at 9k, 170 -> 107 ms at 37k and
-    0.90 -> 0.56 s at 147k unknowns (one thread, median of 5).  ``relax=2``
-    was no faster than SciPy's default.
-
-    The fill-reducing ordering is a minimum-degree ordering of ``A + A^T``,
-    which gives far less fill than the default column ordering.  Given the
-    ``ordering`` of an earlier factorization and a matrix of its pattern,
-    ``P A P^T`` is factorized in its natural order instead, with the same
-    fill and without a new minimum-degree pass: on p = 1.2 CR Hessians,
-    12 -> 10 ms at 9k, 81 -> 66 ms at 37k and 0.49 -> 0.45 s at 147k
-    unknowns (one thread, median of 21, 21 and 9).  The matrices the
-    solvers meet store no zeros (see :meth:`DiscreteProblem._assemble_free`),
-    which would enter the ordering and the fill.
-
-    Returns the factor, whose ``solve`` takes ``A``'s numbering, ``x`` and
-    the ordering.  Raises :class:`ArithmeticError` if the factorization
-    meets an exactly zero pivot or the solution misses the backward-error
-    bound of :func:`_check_backward_error`.
-    """
-    A = sp.csc_matrix(A)
-    reuse = ordering is not None and ordering.fits(A)
-    try:
-        lu = spla.splu(ordering.permute(A) if reuse else A,
-                       permc_spec="NATURAL" if reuse else "MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0, relax=1, panel_size=1,
-                       options={"SymmetricMode": True})
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise ArithmeticError(f"linear solve failed: {exc}") from exc
-    if reuse:
-        lu = _PermutedFactor(lu, ordering)
-    else:
-        # a copy: SciPy's perm_c is a view that keeps the whole factor alive
-        ordering = _Ordering(A, lu.perm_c.copy())
-    x = lu.solve(b)
-    _check_backward_error(A, x, b)
-    return lu, x, ordering
+#: Options of every SuperLU factorization (see :class:`_SpdSolver`).
+_SUPERLU_OPTIONS = dict(diag_pivot_thresh=0.0, relax=1, panel_size=1,
+                        options={"SymmetricMode": True})
 
 
 class _SpdSolver:
     """Direct solves of the SPD systems of one nonlinear solve.
 
-    Every system is factorized by :func:`_spd_factor_solve`, on the
-    ordering of the first one as long as the sparsity pattern stays.  The
-    factor is not kept, so that it is freed before the next one is made.
+    Every system is factorized by symmetric-mode SuperLU with diagonal
+    pivots and with neither relaxed supernodes nor panels (``relax=1,
+    panel_size=1``): the supernodes of these 2-D finite-element matrices
+    are tiny, so SciPy's defaults mostly add BLAS call overhead.  The last
+    two leave the fill unchanged and cut the factorization time by about a
+    third: on p = 1.2 CR Hessians of the uniformly refined L-shape, 28 ->
+    17 ms at 9k, 170 -> 107 ms at 37k and 0.90 -> 0.56 s at 147k unknowns
+    (one thread, median of 5).  ``relax=2`` was no faster than SciPy's
+    default.
+
+    The first system is factorized on a minimum-degree ordering of ``A +
+    A^T``, which gives far less fill than the default column ordering.  A
+    later system of the same sparsity pattern is factorized as ``P A P^T``
+    in its natural order, with the same fill and without a new
+    minimum-degree pass: on p = 1.2 CR Hessians, 12 -> 10 ms at 9k, 81 ->
+    66 ms at 37k and 0.49 -> 0.45 s at 147k unknowns (one thread, median of
+    21, 21 and 9).  The matrices the solvers meet are CSC, SuperLU's own
+    format, and store no zeros (see :meth:`DiscreteProblem._assemble_free`),
+    which would enter the ordering and the fill.
+
+    The solver keeps the pattern, a copy of the ordering's ``perm_c``
+    (SciPy's is a view that keeps the whole factor alive) and, from the
+    first reuse on, the map that gathers ``P A P^T`` from ``A.data``.  It
+    keeps no factor, so that one is freed before the next is made.
     """
 
     def __init__(self):
-        self._ordering = None
+        self._pattern = self._perm_c = self._gather = None
 
-    def solve(self, A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
-        return self._factor(A, b)[1]
+    def factor(self, A: sp.csc_matrix):
+        """SuperLU factor of the SPD matrix ``A`` and ``solve(b)``, which
+        solves ``A x = b`` in ``A``'s numbering.  Raises
+        :class:`ArithmeticError` on an exactly zero pivot."""
+        kept = self._pattern
+        reuse = (kept is not None and np.array_equal(A.indptr, kept[0])
+                 and np.array_equal(A.indices, kept[1]))
+        if reuse:
+            if self._gather is None:
+                self._gather = self._gather_map()
+            slots, indptr, indices, order = self._gather
+            A = sp.csc_matrix((A.data[slots], indices, indptr), shape=A.shape)
+        try:
+            lu = spla.splu(A, permc_spec="NATURAL" if reuse
+                           else "MMD_AT_PLUS_A", **_SUPERLU_OPTIONS)
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise ArithmeticError(f"linear solve failed: {exc}") from exc
+        if reuse:
+            perm_c = self._perm_c
+            return lu, lambda b: lu.solve(b[order])[perm_c]
+        self._pattern = A.indptr, A.indices
+        self._perm_c = lu.perm_c.copy()
+        self._gather = None
+        return lu, lu.solve
 
-    def _factor(self, A: sp.spmatrix, b: np.ndarray):
-        lu, x, self._ordering = _spd_factor_solve(A, b, self._ordering)
-        return lu, x
+    def _gather_map(self):
+        """``(slots, indptr, indices, order)``: ``P A P^T`` in CSC form has
+        ``data = A.data[slots]``, and ``order`` is the inverse of
+        ``perm_c``, which sends unknown ``j`` to position ``perm_c[j]``."""
+        (A_indptr, A_indices), perm_c = self._pattern, self._perm_c
+        n = A_indptr.size - 1
+        cols = np.repeat(perm_c.astype(np.int64), np.diff(A_indptr))
+        rows = perm_c[A_indices]
+        slots = np.argsort(cols * n + rows)
+        indptr = np.zeros(n + 1, dtype=A_indptr.dtype)
+        np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+        order = np.empty_like(perm_c)
+        order[perm_c] = np.arange(n)
+        return slots, indptr, rows[slots].astype(A_indices.dtype), order
+
+    def solve(self, A: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
+        """``x`` with ``A x = b`` from a fresh factor, checked by
+        :func:`_check_backward_error`."""
+        _, solve = self.factor(A)
+        x = solve(b)
+        _check_backward_error(A, x, b)
+        return x
 
 
 #: CG iterations after which :class:`_RecycledSpdSolver` drops its
@@ -202,44 +163,44 @@ _REFRESH_AFTER = 20
 class _RecycledSpdSolver(_SpdSolver):
     """Direct solves with factorization reuse for slowly varying SPD systems.
 
-    The first system is factorized as in :class:`_SpdSolver`; later ones
-    are solved by CG preconditioned with the retained factorization
-    (consecutive Kacanov matrices differ only through the lagged weights),
-    and the factorization is refreshed once a solve takes more than
-    :data:`_REFRESH_AFTER` iterations.  A CG result that misses the 1e-12
-    backward-error bound of :func:`_check_backward_error` is replaced by a
-    fresh factorization's solve.
+    The first system is solved as in :class:`_SpdSolver`; later ones are
+    solved by CG preconditioned with the last factor's solve (consecutive
+    Kacanov matrices differ only through the lagged weights), and the
+    factor is dropped once a solve takes more than :data:`_REFRESH_AFTER`
+    iterations.  A CG result that misses the 1e-12 backward-error bound of
+    :func:`_check_backward_error` is replaced by a fresh factor's solve.
     """
 
     def __init__(self):
         super().__init__()
-        self._lu = None
+        self._precondition = None
 
-    def solve(self, A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
-        A = sp.csc_matrix(A)
-        if self._lu is None:
-            return self._factor_and_solve(A, b)
+    def factor(self, A: sp.csc_matrix):
+        """:meth:`_SpdSolver.factor`, keeping the solve to precondition CG."""
+        lu, self._precondition = super().factor(A)
+        return lu, self._precondition
+
+    def solve(self, A: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
+        if self._precondition is None:
+            return super().solve(A, b)
         count = 0
 
         def _tick(_):
             nonlocal count
             count += 1
 
-        preconditioner = spla.LinearOperator(A.shape, self._lu.solve)
-        x, info = spla.cg(A, b, x0=self._lu.solve(b), rtol=1e-12, atol=0.0,
-                          maxiter=200, M=preconditioner, callback=_tick)
+        preconditioner = spla.LinearOperator(A.shape, self._precondition)
+        x, info = spla.cg(A, b, x0=self._precondition(b), rtol=1e-12,
+                          atol=0.0, maxiter=200, M=preconditioner,
+                          callback=_tick)
         if info != 0:
-            return self._factor_and_solve(A, b)
+            return super().solve(A, b)
         try:  # cg stops on its recursive residual, not the true one
             _check_backward_error(A, x, b)
         except ArithmeticError:
-            return self._factor_and_solve(A, b)
+            return super().solve(A, b)
         if count > _REFRESH_AFTER:
-            self._lu = None
-        return x
-
-    def _factor_and_solve(self, A: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
-        self._lu, x = self._factor(A, b)
+            self._precondition = None
         return x
 
 
@@ -322,8 +283,8 @@ class DiscreteProblem:
         np.add.at(out, self.dof_map.ravel(), cell.ravel())
         return out
 
-    def hessian(self, u: np.ndarray) -> sp.csr_matrix:
-        """Hessian restricted to the free unknowns (CSR)."""
+    def hessian(self, u: np.ndarray) -> sp.csc_matrix:
+        """Hessian restricted to the free unknowns (CSC)."""
         grads = self.broken_gradient(u)
         d2 = self.density.d2phi(grads)  # (nt, 2, 2)
         # batched B D B^T: about half the time of a three-operand einsum
@@ -331,24 +292,21 @@ class DiscreteProblem:
             self.basis_grads @ d2 @ self.basis_grads.transpose(0, 2, 1))
         return self._assemble_free(local)
 
-    def weighted_stiffness(self, weights: np.ndarray) -> sp.csr_matrix:
-        """Stiffness matrix with elementwise weights, on the free unknowns.
-
-        The matrix is symmetric entry for entry, so its transpose is its CSC
-        form.
-        """
+    def weighted_stiffness(self, weights: np.ndarray) -> sp.csc_matrix:
+        """Stiffness matrix with elementwise weights, on the free unknowns
+        (CSC)."""
         local = (self.mesh.areas * weights)[:, None, None] * np.einsum(
             "tid,tjd->tij", self.basis_grads, self.basis_grads)
         return self._assemble_free(local)
 
     @cached_property
     def _free_pattern(self):
-        """CSR pattern of the free-dof matrix and the slot of each entry.
+        """CSC pattern of the free-dof matrix and the slot of each entry.
 
         Returns ``(indptr, indices, entries, slots)``: the local entries at
         flat positions ``entries`` of the ``(nt, 3, 3)`` local matrices are
         those coupling two free unknowns, and each is summed into
-        ``data[slots]`` of the CSR matrix with sorted column indices.  The
+        ``data[slots]`` of the CSC matrix with sorted row indices.  The
         index arrays already have SciPy's index dtype, so building a matrix
         from them converts nothing.
         """
@@ -359,16 +317,16 @@ class DiscreteProblem:
         rows = np.repeat(local_dofs, 3, axis=1).ravel()
         cols = np.tile(local_dofs, (1, 3)).ravel()
         entries = np.flatnonzero((rows >= 0) & (cols >= 0))
-        keys = rows[entries] * nfree + cols[entries]
+        keys = cols[entries] * nfree + rows[entries]
         unique, slots = np.unique(keys, return_inverse=True)
         indptr = np.zeros(nfree + 1, dtype=np.int64)
         np.cumsum(np.bincount(unique // nfree, minlength=nfree),
                   out=indptr[1:])
-        pattern = sp.csr_matrix((np.empty(unique.size), unique % nfree,
+        pattern = sp.csc_matrix((np.empty(unique.size), unique % nfree,
                                  indptr), shape=(nfree, nfree))
         return pattern.indptr, pattern.indices, entries, slots
 
-    def _assemble_free(self, local: np.ndarray) -> sp.csr_matrix:
+    def _assemble_free(self, local: np.ndarray) -> sp.csc_matrix:
         """Sum the ``(nt, 3, 3)`` local matrices into the free-dof matrix.
 
         Exact zeros are not stored: at p = 2 and in the Kacanov stiffness
@@ -379,7 +337,7 @@ class DiscreteProblem:
         data = np.bincount(slots, weights=local.ravel()[entries],
                            minlength=indices.size)
         n = indptr.size - 1
-        A = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
+        A = sp.csc_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
         A.eliminate_zeros()
         return A
 
@@ -430,7 +388,7 @@ def _descend(problem: DiscreteProblem, u0, method: str, linearize, stop,
         A, solve, stress = linearize(state.u)
         residual = grad[free]
         step = solve(A, -residual)
-        state.stress = cache(partial(stress, step))
+        state.stress = partial(stress, step)
         slope = float(residual @ step)
         if slope >= 0:  # not a descent direction; fall back to steepest descent
             step = -residual
@@ -609,22 +567,16 @@ def gradient_flow_solve(problem: DiscreteProblem, u0=None, tau: float = 1.0,
         raise ValueError("a P1 flow solve needs the level's dual value")
     free = problem.free_mask
     step_solver = _RecycledSpdSolver()
-    last = [None, None]  # u^n + delta and its gradient: after t = 1, u^n+1
 
     def linearize(u):
-        grads = (last[1] if np.array_equal(last[0], u)
-                 else problem.broken_gradient(u))
         slopes = problem.density.slope_ratio(
-            np.sqrt(np.sum(grads ** 2, axis=-1)))
-        A = problem.weighted_stiffness(slopes)
+            np.sqrt(np.sum(problem.broken_gradient(u) ** 2, axis=-1)))
 
         def stress(step):
-            last[0] = u.copy()
-            last[0][free] += step
-            last[1] = problem.broken_gradient(last[0])
-            return slopes[:, None] * last[1]
-        # A is symmetric, so A.T is its CSC form
-        return A.T, step_solver.solve, stress
+            v = u.copy()
+            v[free] += step
+            return slopes[:, None] * problem.broken_gradient(v)
+        return problem.weighted_stiffness(slopes), step_solver.solve, stress
 
     def gap_stop(state):
         return state.stress is not None and _gap_below_tolerance(

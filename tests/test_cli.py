@@ -227,12 +227,13 @@ def test_reference_error_fill_ignores_power_model_runs():
 # ---------------------------------------------------------------------------
 
 def _rows(values):
-    return [SimpleNamespace(N=n, y=v) for n, v in values]
+    return SimpleNamespace(records=[SimpleNamespace(N=n, y=v)
+                                    for n, v in values])
 
 
 def test_plot_rejects_empty_or_unplottable_input(tmp_path):
     with pytest.raises(ValueError):
-        emit_plot([], ["y"], tmp_path / "a.svg")
+        emit_plot(_rows([]), ["y"], tmp_path / "a.svg")
     with pytest.raises(ValueError):
         emit_plot(_rows([(10, -1.0), (20, 0.0)]), ["y"], tmp_path / "b.svg",
                   logy=True)
@@ -278,8 +279,9 @@ def test_plot_output_is_byte_deterministic(tmp_path):
 
 
 def test_plot_skips_nonfinite_rows(tmp_path):
-    rows = [SimpleNamespace(N=10, y=1.0, z=float("nan")),
-            SimpleNamespace(N=20, y=0.5, z=0.25)]
+    rows = SimpleNamespace(records=[
+        SimpleNamespace(N=10, y=1.0, z=float("nan")),
+        SimpleNamespace(N=20, y=0.5, z=0.25)])
     path = tmp_path / "skip.svg"
     emit_plot(rows, ["y", "z"], path)
     root = ET.parse(path).getroot()

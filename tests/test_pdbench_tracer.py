@@ -6,7 +6,9 @@ from outside the package, and ``pdbench/study.py`` passes keywords that no
 ``seed`` to ``run_benchmark``).  A renamed entry point or a dropped keyword
 breaks a benchmark run only when it runs.  This test makes the calls of
 ``study.py`` for every workload at two levels in a fresh process, with the
-tracer installed for the last one, so such a break shows here.
+tracer installed from ``design-flow`` on, so such a break shows here.  The
+flow's preconditioned CG then applies the traced SuperLU factor, which
+``_TracedFactor`` wraps.
 """
 
 from __future__ import annotations
@@ -32,13 +34,16 @@ tracer = Tracer("t")
 rcs = {{}}
 for name in ("p12-newton", "design-flow", "p2-average"):
     workload = WORKLOADS[name]
-    if name == "p2-average":
+    if name == "design-flow":
         tracer.install()
     cfg = AfemConfig(**dict(workload.config, max_iterations=2))
     spec = BenchmarkSpec(mesh=relabelled_lshape(1, 0), **workload.spec)
     rcs[name] = run_benchmark(spec, cfg, {out!r} + "/" + name, seed=1)
 metrics = tracer.metrics(1.0, 2, 0)
-print(json.dumps({{"rcs": rcs, "spans": metrics["trace.spans"]}}))
+counts = ("solvers.factorizations", "solvers.pcg_iters",
+          "solvers.direct_solves")
+print(json.dumps({{"rcs": rcs, "spans": metrics["trace.spans"],
+                  "counts": {{key: metrics[key] for key in counts}}}}))
 """
 
 
@@ -58,5 +63,7 @@ def test_tracer_installs_and_traces_a_two_level_study(tmp_path):
     assert result["rcs"] == {"p12-newton": 0, "design-flow": 0,
                              "p2-average": 0}
     assert result["spans"] > 0
+    # the flow's factorizations, CG iterations and LU solves were traced
+    assert all(count > 0 for count in result["counts"].values()), result
     for name in result["rcs"]:
         assert (tmp_path / "study" / name / "trace.csv").is_file()

@@ -28,23 +28,23 @@ def _lshape_problem(p=2.0, space="cr", level=0):
 
 
 # ---------------------------------------------------------------------------
-# the SPD factor/solve routine of both solvers
+# the SPD factor/solve object of both solvers
 # ---------------------------------------------------------------------------
 
 def _direct_solve(A, b):
-    """``x`` of :func:`solvers._spd_factor_solve` on a fresh ordering."""
-    return solvers._spd_factor_solve(A, b)[1]
+    """``x`` of a fresh :class:`solvers._SpdSolver` for the CSC matrix ``A``."""
+    return solvers._SpdSolver().solve(A, b)
 
 
 def test_linear_solve_identity():
     b = np.array([3.0, -1.0, 2.0])
-    assert np.array_equal(_direct_solve(sp.eye(3, format="csr"), b), b)
+    assert np.array_equal(_direct_solve(sp.eye(3, format="csc"), b), b)
 
 
 def test_linear_solve_tridiagonal_matches_dense():
     n = 40
     A = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
-                 [-1, 0, 1], format="csr")
+                 [-1, 0, 1], format="csc")
     rng = np.random.default_rng(0)
     b = rng.normal(size=n)
     x = _direct_solve(A, b)
@@ -54,14 +54,14 @@ def test_linear_solve_tridiagonal_matches_dense():
 def test_linear_solve_random_spd_residual():
     rng = np.random.default_rng(1)
     M = rng.normal(size=(50, 50))
-    A = sp.csr_matrix(M.T @ M + np.eye(50))
+    A = sp.csc_matrix(M.T @ M + np.eye(50))
     b = rng.normal(size=50)
     x = _direct_solve(A, b)
     assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_linear_solve_rejects_singular():
-    A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    A = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy warns before returning NaNs
         with pytest.raises(ArithmeticError):
@@ -74,8 +74,9 @@ def test_spd_factor_has_less_fill_than_default_ordering():
     rng = np.random.default_rng(3)
     H = prob.hessian(prob.impose_dirichlet(rng.normal(size=prob.num_dofs)))
     b = rng.normal(size=H.shape[0])
-    lu, x, _ = solvers._spd_factor_solve(H, b)
-    default = spla.splu(sp.csc_matrix(H))
+    lu, solve = solvers._SpdSolver().factor(H)
+    x = solve(b)
+    default = spla.splu(H)
     fill = lu.L.nnz + lu.U.nnz
     assert fill <= 0.6 * (default.L.nnz + default.U.nnz)
     assert np.linalg.norm(H @ x - b) <= 1e-10 * np.linalg.norm(b)
@@ -104,8 +105,8 @@ def test_both_solve_paths_share_one_factorization(monkeypatch):
 
     defaults = {k: v for k, v in calls[0].items()
                 if k not in ("relax", "panel_size")}
-    lu = splu(sp.csc_matrix(H), **calls[0])
-    reference = splu(sp.csc_matrix(H), **defaults)
+    lu = splu(H, **calls[0])
+    reference = splu(H, **defaults)
     assert lu.L.nnz + lu.U.nnz == reference.L.nnz + reference.U.nnz
     x_ref = reference.solve(b)
     assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
@@ -147,13 +148,19 @@ def _p12_hessians(level, count):
 
 def test_reused_ordering_keeps_the_fill_and_the_backward_error():
     (H0, H1), b = _p12_hessians(level=3, count=2)
-    _, _, ordering = solvers._spd_factor_solve(H0, b)
-    # SciPy's perm_c is a view whose base is the factor; the ordering keeps
+    solver = solvers._SpdSolver()
+    solver.factor(H0)
+    # SciPy's perm_c is a view whose base is the factor; the solver keeps
     # a copy, so that the first factor is freed before the next is made
-    assert ordering.perm_c.base is None
-    lu, x, kept = solvers._spd_factor_solve(H1, b, ordering)
-    fresh, x_fresh, _ = solvers._spd_factor_solve(H1, b)
-    assert kept is ordering and isinstance(lu, solvers._PermutedFactor)
+    kept = solver._perm_c
+    assert kept.base is None
+    lu, solve = solver.factor(H1)
+    x = solve(b)
+    fresh, fresh_solve = solvers._SpdSolver().factor(H1)
+    x_fresh = fresh_solve(b)
+    # P H1 P^T is factorized in its natural order on the kept ordering
+    assert solver._perm_c is kept
+    assert np.array_equal(lu.perm_c, np.arange(H1.shape[0]))
     assert lu.L.nnz + lu.U.nnz == fresh.L.nnz + fresh.U.nnz
     residual = np.linalg.norm(H1 @ x - b)
     scale = np.linalg.norm(b) + abs(H1).sum(axis=1).max() * np.linalg.norm(x)
@@ -164,13 +171,18 @@ def test_reused_ordering_keeps_the_fill_and_the_backward_error():
 def test_ordering_is_renewed_for_a_new_pattern():
     # the p = 2 Hessian of the same mesh lacks the right-angle couplings
     (H, _), b = _p12_hessians(level=2, count=2)
-    _, _, ordering = solvers._spd_factor_solve(H, b)
+    solver = solvers._SpdSolver()
+    solver.factor(H)
+    kept = solver._perm_c
     p2 = _lshape_problem(p=2.0, level=2)
     other = p2.hessian(p2.initial_state())
     assert other.shape == H.shape and other.nnz < H.nnz
-    lu, x, renewed = solvers._spd_factor_solve(other, b, ordering)
-    assert renewed is not ordering
-    assert not isinstance(lu, solvers._PermutedFactor)
+    lu, solve = solver.factor(other)
+    x = solve(b)
+    # a fresh minimum-degree ordering, kept as a copy
+    assert solver._perm_c is not kept and solver._perm_c.base is None
+    assert np.array_equal(solver._perm_c, lu.perm_c)
+    assert not np.array_equal(lu.perm_c, np.arange(other.shape[0]))
     assert np.linalg.norm(other @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -186,8 +198,9 @@ def test_p2_hessian_stores_no_zeros_and_loses_fill():
         B @ prob.density.d2phi(prob.broken_gradient(v)) @ B.transpose(0, 2, 1)))
     assert np.count_nonzero(stored.data == 0.0) > 0.2 * stored.nnz
     b = rng.normal(size=H.shape[0])
-    lu, x, _ = solvers._spd_factor_solve(H, b)
-    lu_stored, x_stored, _ = solvers._spd_factor_solve(stored, b)
+    lu, solve = solvers._SpdSolver().factor(H)
+    lu_stored, solve_stored = solvers._SpdSolver().factor(stored)
+    x, x_stored = solve(b), solve_stored(b)
     assert lu.L.nnz + lu.U.nnz <= 0.7 * (lu_stored.L.nnz + lu_stored.U.nnz)
     assert np.linalg.norm(x - x_stored) <= 1e-12 * np.linalg.norm(x_stored)
 
@@ -224,11 +237,12 @@ def _corner_refined_lshape():
 
 
 def _coo_reference(prob, local):
-    """Free-dof matrix by COO -> CSR conversion and slicing.
+    """Free-dof matrix by COO -> CSR conversion and slicing, in CSC form.
 
     SciPy sums duplicate triplets in the order its index sort leaves them,
     which is not stable within long rows; sorting the triplets stably by
-    (row, column) first makes the summation follow the element order.
+    (row, column) first makes the summation follow the element order.  The
+    conversion to CSC moves entries without summing them.
     """
     rows = np.repeat(prob.dof_map, 3, axis=1).ravel()
     cols = np.tile(prob.dof_map, (1, 3)).ravel()
@@ -236,7 +250,7 @@ def _coo_reference(prob, local):
     A = sp.coo_matrix((local.ravel()[order], (rows[order], cols[order])),
                       shape=(prob.num_dofs, prob.num_dofs)).tocsr()
     free = np.flatnonzero(prob.free_mask)
-    return A[free][:, free].tocsr()
+    return A[free][:, free].tocsc()
 
 
 @pytest.mark.parametrize("space", ["cr", "p1"])
@@ -255,6 +269,7 @@ def test_assemble_free_bit_identical_to_coo_reference(space):
     for local in (hessian_local, rng.normal(size=(mesh.num_triangles, 3, 3))):
         got = prob._assemble_free(local)
         ref = _coo_reference(prob, local)
+        assert got.format == "csc"
         assert got.shape == ref.shape == (prob.free_mask.sum(),) * 2
         assert np.array_equal(got.indptr, ref.indptr)
         assert np.array_equal(got.indices, ref.indices)
@@ -264,8 +279,8 @@ def test_assemble_free_bit_identical_to_coo_reference(space):
 
 
 @pytest.mark.parametrize("space", ["cr", "p1"])
-def test_flow_step_matrix_transpose_is_its_csc_form(space):
-    # the Kacanov step hands A.T to the solver instead of converting A
+def test_weighted_stiffness_is_csc_without_stored_zeros(space):
+    # the Kacanov step hands its matrix to SuperLU as assembled
     mesh = _corner_refined_lshape()
     rng = np.random.default_rng(23)
     prob = DiscreteProblem(mesh, OptimalDesignDensity(),
@@ -273,17 +288,15 @@ def test_flow_step_matrix_transpose_is_its_csc_form(space):
                            space=space)
     weights = rng.uniform(0.5, 2.0, size=mesh.num_triangles)
     A = prob.weighted_stiffness(weights)
-    assert not np.any(A.data == 0.0)
+    assert A.format == "csc" and not np.any(A.data == 0.0)
     local = (mesh.areas * weights)[:, None, None] * np.einsum(
         "tid,tjd->tij", prob.basis_grads, prob.basis_grads)
-    ref = sp.csc_matrix(_coo_reference(prob, local))
+    ref = _coo_reference(prob, local)
     assert np.any(ref.data == 0.0)  # couplings across right angles
     ref.eliminate_zeros()
-    step = A.T
-    assert step.format == "csc"
-    assert np.array_equal(step.indptr, ref.indptr)
-    assert np.array_equal(step.indices, ref.indices)
-    assert np.array_equal(step.data, ref.data)
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    assert np.array_equal(A.data, ref.data)
 
 
 @pytest.mark.parametrize("space", ["cr", "p1"])
@@ -581,12 +594,12 @@ def test_recycled_solver_tracks_drifting_systems(monkeypatch):
     rng = np.random.default_rng(21)
     n = 120
     base = sp.diags([np.full(n - 1, -1.0), np.full(n, 4.0),
-                     np.full(n - 1, -1.0)], [-1, 0, 1], format="csr")
+                     np.full(n - 1, -1.0)], [-1, 0, 1], format="csc")
     solver = _RecycledSpdSolver()
     scale = 1.0
     for step in range(12):
         scale *= 1.3 if step % 3 else 3.0  # keep the factorization going stale
-        A = base * scale + sp.eye(n)
+        A = base * scale + sp.eye(n, format="csc")
         b = rng.standard_normal(n)
         x = solver.solve(A, b)
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
@@ -600,7 +613,7 @@ def test_recycled_solver_checks_the_true_residual_of_cg(monkeypatch):
 
     n = 80
     A = sp.diags([np.full(n - 1, -1.0), np.full(n, 4.0),
-                  np.full(n - 1, -1.0)], [-1, 0, 1], format="csr")
+                  np.full(n - 1, -1.0)], [-1, 0, 1], format="csc")
     b = np.random.default_rng(5).standard_normal(n)
     factorizations = []
     splu = spla.splu
@@ -631,7 +644,7 @@ def test_recycled_solver_refreshes_after_slow_cg(monkeypatch, refresh_after,
 
     n = 60
     base = sp.diags([np.full(n - 1, -1.0), np.full(n, 4.0),
-                     np.full(n - 1, -1.0)], [-1, 0, 1], format="csr")
+                     np.full(n - 1, -1.0)], [-1, 0, 1], format="csc")
     b = np.random.default_rng(9).standard_normal(n)
     factorizations = []
     splu = spla.splu
@@ -644,7 +657,8 @@ def test_recycled_solver_refreshes_after_slow_cg(monkeypatch, refresh_after,
     monkeypatch.setattr(solvers, "_REFRESH_AFTER", refresh_after)
     solver = _RecycledSpdSolver()
     for step in range(6):
-        A = base * (1.0 + 0.1 * step) + sp.eye(n)  # every CG needs a step
+        # every CG needs a step
+        A = base * (1.0 + 0.1 * step) + sp.eye(n, format="csc")
         x = solver.solve(A, b)
         assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
     assert len(factorizations) == expected

@@ -1,11 +1,11 @@
 """Layer micro-benchmark: one SPD factorization and solve.
 
 Times ``pdgap.solvers._SpdSolver.solve``, the factorization and solve
-behind every Newton step and every flow refactorization, on
-Crouzeix-Raviart Hessians of the uniformly refined L-shape at about 10k,
-40k and 150k unknowns: p = 1.2 Hessians, which have no exact zeros, and
-p = 2 Hessians, whose couplings across right angles are exact zeros that
-the assembly does not store.
+behind every Newton and every Kacanov step, on Crouzeix-Raviart Hessians
+of the uniformly refined L-shape at about 10k, 40k and 150k unknowns:
+p = 1.2 Hessians, which have no exact zeros, and p = 2 Hessians, whose
+couplings across right angles are exact zeros that the assembly does not
+store.
 ``test_spd_factor_solve_on_a_reused_ordering`` times the later systems of
 a solve: a second p = 1.2 Hessian of the same pattern, factorized by the
 solver that ordered the first.  The directory is outside the Tier-1

@@ -30,8 +30,9 @@ Every linear system either solver meets is symmetric positive definite,
 is assembled in CSC form without stored zeros, and is factorized by one
 :class:`_SpdSolver` per nonlinear solve: the first system on a
 minimum-degree ordering, the later ones on that same ordering while the
-sparsity pattern stays.  Every solve, direct or preconditioned CG, is
-checked against a 1e-12 backward-error bound on the unpermuted matrix.
+sparsity pattern stays.  Every step of either solver is one such direct
+solve, checked against a 1e-12 backward-error bound on the unpermuted
+matrix.
 """
 
 from __future__ import annotations
@@ -57,13 +58,14 @@ def _check_backward_error(A: sp.spmatrix, x: np.ndarray,
                           b: np.ndarray) -> None:
     """Raise :class:`ArithmeticError` unless ``x`` is finite and meets
     ``|A x - b| <= 1e-12 (1 + |b| + |A| |x|)``, with ``|A|`` the largest
-    absolute row sum.
+    absolute row sum (zero for an empty ``A``).
 
     The row sums are taken in ``A``'s own format: ``spla.norm`` would first
     convert a CSC matrix to CSR.
     """
     residual = np.linalg.norm(A @ x - b)
-    scale = np.linalg.norm(b) + abs(A).sum(axis=1).max() * np.linalg.norm(x)
+    row_sum = abs(A).sum(axis=1).max() if A.shape[0] else 0.0
+    scale = np.linalg.norm(b) + row_sum * np.linalg.norm(x)
     if not np.isfinite(x).all() or residual > 1e-12 * (1.0 + scale):
         raise ArithmeticError(
             f"linear solve failed: residual {residual:.3e} vs scale {scale:.3e}")
@@ -106,30 +108,34 @@ class _SpdSolver:
     def __init__(self):
         self._pattern = self._perm_c = self._gather = None
 
-    def factor(self, A: sp.csc_matrix):
-        """SuperLU factor of the SPD matrix ``A`` and ``solve(b)``, which
-        solves ``A x = b`` in ``A``'s numbering.  Raises
+    def solve(self, A: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
+        """``x`` with ``A x = b`` for the SPD matrix ``A``, from a fresh
+        factor and checked by :func:`_check_backward_error`.  Raises
         :class:`ArithmeticError` on an exactly zero pivot."""
         kept = self._pattern
         reuse = (kept is not None and np.array_equal(A.indptr, kept[0])
                  and np.array_equal(A.indices, kept[1]))
+        factored = A
         if reuse:
             if self._gather is None:
                 self._gather = self._gather_map()
             slots, indptr, indices, order = self._gather
-            A = sp.csc_matrix((A.data[slots], indices, indptr), shape=A.shape)
+            factored = sp.csc_matrix((A.data[slots], indices, indptr),
+                                     shape=A.shape)
         try:
-            lu = spla.splu(A, permc_spec="NATURAL" if reuse
+            lu = spla.splu(factored, permc_spec="NATURAL" if reuse
                            else "MMD_AT_PLUS_A", **_SUPERLU_OPTIONS)
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise ArithmeticError(f"linear solve failed: {exc}") from exc
         if reuse:
-            perm_c = self._perm_c
-            return lu, lambda b: lu.solve(b[order])[perm_c]
-        self._pattern = A.indptr, A.indices
-        self._perm_c = lu.perm_c.copy()
-        self._gather = None
-        return lu, lu.solve
+            x = lu.solve(b[order])[self._perm_c]
+        else:
+            self._pattern = A.indptr, A.indices
+            self._perm_c = lu.perm_c.copy()
+            self._gather = None
+            x = lu.solve(b)
+        _check_backward_error(A, x, b)
+        return x
 
     def _gather_map(self):
         """``(slots, indptr, indices, order)``: ``P A P^T`` in CSC form has
@@ -145,63 +151,6 @@ class _SpdSolver:
         order = np.empty_like(perm_c)
         order[perm_c] = np.arange(n)
         return slots, indptr, rows[slots].astype(A_indices.dtype), order
-
-    def solve(self, A: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
-        """``x`` with ``A x = b`` from a fresh factor, checked by
-        :func:`_check_backward_error`."""
-        _, solve = self.factor(A)
-        x = solve(b)
-        _check_backward_error(A, x, b)
-        return x
-
-
-#: CG iterations after which :class:`_RecycledSpdSolver` drops its
-#: factorization, so that the next system is factorized afresh.
-_REFRESH_AFTER = 20
-
-
-class _RecycledSpdSolver(_SpdSolver):
-    """Direct solves with factorization reuse for slowly varying SPD systems.
-
-    The first system is solved as in :class:`_SpdSolver`; later ones are
-    solved by CG preconditioned with the last factor's solve (consecutive
-    Kacanov matrices differ only through the lagged weights), and the
-    factor is dropped once a solve takes more than :data:`_REFRESH_AFTER`
-    iterations.  A CG result that misses the 1e-12 backward-error bound of
-    :func:`_check_backward_error` is replaced by a fresh factor's solve.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self._precondition = None
-
-    def factor(self, A: sp.csc_matrix):
-        """:meth:`_SpdSolver.factor`, keeping the solve to precondition CG."""
-        lu, self._precondition = super().factor(A)
-        return lu, self._precondition
-
-    def solve(self, A: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
-        if self._precondition is None:
-            return super().solve(A, b)
-        count = 0
-
-        def _tick(_):
-            nonlocal count
-            count += 1
-
-        preconditioner = spla.LinearOperator(A.shape, self._precondition)
-        x, info = spla.cg(A, b, x0=self._precondition(b), rtol=1e-12,
-                          atol=0.0, maxiter=200, M=preconditioner,
-                          callback=_tick)
-        if info != 0:
-            return super().solve(A, b)
-        try:  # cg stops on its recursive residual, not the true one
-            _check_backward_error(A, x, b)
-        except ArithmeticError:
-            return super().solve(A, b)
-        if count > _REFRESH_AFTER:
-            self._precondition = None
-        return x
 
 
 class DiscreteProblem:
@@ -373,21 +322,23 @@ def _descend(problem: DiscreteProblem, u0, method: str, linearize, stop,
              reason: str, max_iter: int) -> tuple[np.ndarray, SolverReport]:
     """The one descent loop: ``u <- u + t delta``, ``A(u) delta = -DI(u)``.
 
-    ``linearize(u)`` returns the free-dof matrix ``A``, the linear solver
-    ``solve(A, b)`` and ``stress(delta)``, the stress of the linear problem
-    that the step ``delta`` solves; ``t`` comes from :func:`_line_search`.
-    The solve ends with ``reason`` once ``stop(state)`` holds before a step,
-    or after ``max_iter`` steps.  On CR, a solve without a step makes one
+    ``linearize(u)`` returns the free-dof matrix ``A`` and ``stress(delta)``,
+    the stress of the linear problem that the step ``delta`` solves.  Every
+    ``delta`` is a direct solve of one :class:`_SpdSolver`, which keeps its
+    ordering across the loop; ``t`` comes from :func:`_line_search`.  The
+    solve ends with ``reason`` once ``stop(state)`` holds before a step, or
+    after ``max_iter`` steps.  On CR, a solve without a step makes one
     linear solve for the report's stress."""
     u = problem.initial_state() if u0 is None else problem.impose_dirichlet(u0)
     free = problem.free_mask
     grad = problem.gradient(u)
     state = _Descent(u, [float(np.linalg.norm(grad[free]))],
                      [problem.energy(u)])
+    solver = _SpdSolver()
     while not (met := stop(state)) and len(state.energies) <= max_iter:
-        A, solve, stress = linearize(state.u)
+        A, stress = linearize(state.u)
         residual = grad[free]
-        step = solve(A, -residual)
+        step = solver.solve(A, -residual)
         state.stress = partial(stress, step)
         slope = float(residual @ step)
         if slope >= 0:  # not a descent direction; fall back to steepest descent
@@ -398,8 +349,8 @@ def _descend(problem: DiscreteProblem, u0, method: str, linearize, stop,
         state.norms.append(float(np.linalg.norm(grad[free])))
         state.energies.append(energy)
     if problem.space == "cr" and state.stress is None:
-        A, solve, stress = linearize(state.u)
-        state.stress = partial(stress, solve(A, -grad[free]))
+        A, stress = linearize(state.u)
+        state.stress = partial(stress, solver.solve(A, -grad[free]))
     report = SolverReport(
         method=method, converged=bool(met),
         iterations=len(state.energies) - 1, energy=state.energies[-1],
@@ -496,8 +447,7 @@ def _line_search(problem: DiscreteProblem, u: np.ndarray, step: np.ndarray,
 
 def newton_solve(problem: DiscreteProblem, u0=None, tol_abs: float = 1e-8,
                  tol_rel: float = 1e-10, max_iter: int = 60) -> tuple[np.ndarray, SolverReport]:
-    """Newton iteration: :func:`_descend` with the Hessian for ``A``,
-    solved by one :class:`_SpdSolver`.
+    """Newton iteration: :func:`_descend` with the Hessian for ``A``.
 
     Stops once the free-residual norm drops below ``tol_abs`` or below
     ``tol_rel`` times its initial value, so a start at the exact solution
@@ -505,7 +455,6 @@ def newton_solve(problem: DiscreteProblem, u0=None, tol_abs: float = 1e-8,
     last Newton system: ``Dphi(grad u) + D2phi(grad u) grad delta``.
     """
     free = problem.free_mask
-    step_solver = _SpdSolver()
 
     def linearize(u):
         def stress(step):
@@ -515,7 +464,7 @@ def newton_solve(problem: DiscreteProblem, u0=None, tol_abs: float = 1e-8,
             return problem.density.dphi(grads) + np.einsum(
                 "tde,te->td", problem.density.d2phi(grads),
                 problem.broken_gradient(delta))
-        return problem.hessian(u), step_solver.solve, stress
+        return problem.hessian(u), stress
 
     def stop(state):
         return state.norms[-1] <= max(tol_abs, tol_rel * state.norms[0])
@@ -537,8 +486,8 @@ def gradient_flow_solve(problem: DiscreteProblem, u0=None, tau: float = 1.0,
     """Kacanov iteration, the tau -> infinity limit of the gradient flow.
 
     :func:`_descend` with ``A = K(a_n)``, the stiffness matrix weighted by
-    the secant slopes ``a_n = psi'(|grad u^n|)/|grad u^n|``, solved by one
-    :class:`_RecycledSpdSolver`.  Since ``Dphi(a) = (psi'(|a|)/|a|) a``,
+    the secant slopes ``a_n = psi'(|grad u^n|)/|grad u^n|``, each step one
+    direct solve, as Newton's.  Since ``Dphi(a) = (psi'(|a|)/|a|) a``,
     ``u^n + delta`` solves ``K(a_n) v = b`` (load ``b``, Dirichlet values
     eliminated) up to roundoff and the p-power ``slope_ratio``'s
     regularization.  When ``psi'(t)/t`` is nonincreasing (optimal design,
@@ -566,7 +515,6 @@ def gradient_flow_solve(problem: DiscreteProblem, u0=None, tau: float = 1.0,
     if problem.space == "p1" and dual is None:
         raise ValueError("a P1 flow solve needs the level's dual value")
     free = problem.free_mask
-    step_solver = _RecycledSpdSolver()
 
     def linearize(u):
         slopes = problem.density.slope_ratio(
@@ -576,7 +524,7 @@ def gradient_flow_solve(problem: DiscreteProblem, u0=None, tau: float = 1.0,
             v = u.copy()
             v[free] += step
             return slopes[:, None] * problem.broken_gradient(v)
-        return problem.weighted_stiffness(slopes), step_solver.solve, stress
+        return problem.weighted_stiffness(slopes), stress
 
     def gap_stop(state):
         return state.stress is not None and _gap_below_tolerance(

@@ -233,6 +233,16 @@ def test_flow_study_energies_fall_and_bracket_holds():
     assert np.all(trace.column("discrete_gap") >= 0.0)
 
 
+def test_flow_level_without_free_vertices_runs():
+    # the two-triangle square has no interior vertex, so the P1 Kacanov
+    # steps solve empty systems
+    problem = AfemProblem(mesh=make_square_mesh(1),
+                          density=OptimalDesignDensity(), load=1.0)
+    trace = afem_run(problem, AfemConfig(max_iterations=1, solver="flow"))
+    assert not trace.failed and len(trace.records) == 1
+    assert trace.column("D_dual")[0] <= trace.column("I_primal")[0]
+
+
 def test_flow_solver_stops_on_an_exactly_solved_level():
     # affine boundary data and no load: every level is solved exactly, so
     # the estimate is roundoff and the stop rule must allow for it

@@ -6,9 +6,9 @@ from outside the package, and ``pdbench/study.py`` passes keywords that no
 ``seed`` to ``run_benchmark``).  A renamed entry point or a dropped keyword
 breaks a benchmark run only when it runs.  This test makes the calls of
 ``study.py`` for every workload at two levels in a fresh process, with the
-tracer installed from ``design-flow`` on, so such a break shows here.  The
-flow's preconditioned CG then applies the traced SuperLU factor, which
-``_TracedFactor`` wraps.
+tracer installed from ``design-flow`` on, so such a break shows here.  Every
+flow step then factorizes through the traced ``splu`` and solves once with
+the factor that ``_TracedFactor`` wraps.
 """
 
 from __future__ import annotations
@@ -63,7 +63,10 @@ def test_tracer_installs_and_traces_a_two_level_study(tmp_path):
     assert result["rcs"] == {"p12-newton": 0, "design-flow": 0,
                              "p2-average": 0}
     assert result["spans"] > 0
-    # the flow's factorizations, CG iterations and LU solves were traced
-    assert all(count > 0 for count in result["counts"].values()), result
+    # every traced flow step is one factorization and one LU solve
+    counts = result["counts"]
+    assert counts["solvers.factorizations"] > 0, result
+    assert counts["solvers.direct_solves"] == counts["solvers.factorizations"]
+    assert counts["solvers.pcg_iters"] == 0, result
     for name in result["rcs"]:
         assert (tmp_path / "study" / name / "trace.csv").is_file()

@@ -68,46 +68,53 @@ def test_linear_solve_rejects_singular():
             _direct_solve(A, np.array([1.0, 0.0]))
 
 
-def test_spd_factor_has_less_fill_than_default_ordering():
+#: SciPy's ``splu``, kept before any test replaces it with a spy.
+_splu = spla.splu
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """``(permc_spec, factor)`` of every SuperLU factorization the solvers
+    make, in order."""
+    calls = []
+
+    def spy(A, **kwargs):
+        calls.append((kwargs["permc_spec"], _splu(A, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(solvers.spla, "splu", spy)
+    return calls
+
+
+def test_spd_factor_has_less_fill_than_default_ordering(splu_calls):
     # CR Hessian at a random state, 9k free unknowns
     prob = _lshape_problem(p=1.2, level=3)
     rng = np.random.default_rng(3)
     H = prob.hessian(prob.impose_dirichlet(rng.normal(size=prob.num_dofs)))
     b = rng.normal(size=H.shape[0])
-    lu, solve = solvers._SpdSolver().factor(H)
-    x = solve(b)
-    default = spla.splu(H)
+    x = solvers._SpdSolver().solve(H, b)
+    [(_, lu)] = splu_calls
+    default = _splu(H)
     fill = lu.L.nnz + lu.U.nnz
     assert fill <= 0.6 * (default.L.nnz + default.U.nnz)
     assert np.linalg.norm(H @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
-def test_both_solve_paths_share_one_factorization(monkeypatch):
-    # Newton (_SpdSolver) and the flow (_RecycledSpdSolver) factorize
-    # with the same settings; dropping SciPy's relaxed supernodes and panels
-    # changes neither the fill nor, beyond roundoff, the solution
+def test_superlu_options_keep_the_fill_and_the_solution():
+    # dropping SciPy's relaxed supernodes and panels changes neither the
+    # fill nor, beyond roundoff, the solution
+    options = solvers._SUPERLU_OPTIONS
+    assert options["relax"] == 1 and options["panel_size"] == 1
+    defaults = {k: v for k, v in options.items()
+                if k not in ("relax", "panel_size")}
     prob = _lshape_problem(p=1.2, level=3)
     rng = np.random.default_rng(3)
     H = prob.hessian(prob.impose_dirichlet(rng.normal(size=prob.num_dofs)))
     b = rng.normal(size=H.shape[0])
-    calls = []
-    splu = spla.splu
-
-    def spy(A, **kwargs):
-        calls.append(kwargs)
-        return splu(A, **kwargs)
-
-    monkeypatch.setattr(solvers.spla, "splu", spy)
-    x = solvers._SpdSolver().solve(H, b)
-    solvers._RecycledSpdSolver().solve(H, b)
-    assert len(calls) == 2 and calls[0] == calls[1]
-    assert calls[0]["relax"] == 1 and calls[0]["panel_size"] == 1
-
-    defaults = {k: v for k, v in calls[0].items()
-                if k not in ("relax", "panel_size")}
-    lu = splu(H, **calls[0])
-    reference = splu(H, **defaults)
+    lu = _splu(H, permc_spec="MMD_AT_PLUS_A", **options)
+    reference = _splu(H, permc_spec="MMD_AT_PLUS_A", **defaults)
     assert lu.L.nnz + lu.U.nnz == reference.L.nnz + reference.U.nnz
+    x = solvers._SpdSolver().solve(H, b)
     x_ref = reference.solve(b)
     assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
@@ -146,20 +153,19 @@ def _p12_hessians(level, count):
             for _ in range(count)], rng.normal(size=prob.free_mask.sum())
 
 
-def test_reused_ordering_keeps_the_fill_and_the_backward_error():
+def test_reused_ordering_keeps_the_fill_and_the_backward_error(splu_calls):
     (H0, H1), b = _p12_hessians(level=3, count=2)
     solver = solvers._SpdSolver()
-    solver.factor(H0)
+    solver.solve(H0, b)
     # SciPy's perm_c is a view whose base is the factor; the solver keeps
     # a copy, so that the first factor is freed before the next is made
     kept = solver._perm_c
     assert kept.base is None
-    lu, solve = solver.factor(H1)
-    x = solve(b)
-    fresh, fresh_solve = solvers._SpdSolver().factor(H1)
-    x_fresh = fresh_solve(b)
+    x = solver.solve(H1, b)
+    x_fresh = solvers._SpdSolver().solve(H1, b)
+    (_, _), (ordering, lu), (_, fresh) = splu_calls
     # P H1 P^T is factorized in its natural order on the kept ordering
-    assert solver._perm_c is kept
+    assert solver._perm_c is kept and ordering == "NATURAL"
     assert np.array_equal(lu.perm_c, np.arange(H1.shape[0]))
     assert lu.L.nnz + lu.U.nnz == fresh.L.nnz + fresh.U.nnz
     residual = np.linalg.norm(H1 @ x - b)
@@ -168,25 +174,26 @@ def test_reused_ordering_keeps_the_fill_and_the_backward_error():
     assert np.linalg.norm(x - x_fresh) <= 1e-12 * np.linalg.norm(x_fresh)
 
 
-def test_ordering_is_renewed_for_a_new_pattern():
+def test_ordering_is_renewed_for_a_new_pattern(splu_calls):
     # the p = 2 Hessian of the same mesh lacks the right-angle couplings
     (H, _), b = _p12_hessians(level=2, count=2)
     solver = solvers._SpdSolver()
-    solver.factor(H)
+    solver.solve(H, b)
     kept = solver._perm_c
     p2 = _lshape_problem(p=2.0, level=2)
     other = p2.hessian(p2.initial_state())
     assert other.shape == H.shape and other.nnz < H.nnz
-    lu, solve = solver.factor(other)
-    x = solve(b)
+    x = solver.solve(other, b)
+    ordering, lu = splu_calls[-1]
     # a fresh minimum-degree ordering, kept as a copy
+    assert ordering == "MMD_AT_PLUS_A"
     assert solver._perm_c is not kept and solver._perm_c.base is None
     assert np.array_equal(solver._perm_c, lu.perm_c)
     assert not np.array_equal(lu.perm_c, np.arange(other.shape[0]))
     assert np.linalg.norm(other @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
-def test_p2_hessian_stores_no_zeros_and_loses_fill():
+def test_p2_hessian_stores_no_zeros_and_loses_fill(splu_calls):
     # at p = 2 every CR coupling across a right angle vanishes exactly
     prob = _lshape_problem(p=2.0, level=3)
     rng = np.random.default_rng(4)
@@ -198,28 +205,36 @@ def test_p2_hessian_stores_no_zeros_and_loses_fill():
         B @ prob.density.d2phi(prob.broken_gradient(v)) @ B.transpose(0, 2, 1)))
     assert np.count_nonzero(stored.data == 0.0) > 0.2 * stored.nnz
     b = rng.normal(size=H.shape[0])
-    lu, solve = solvers._SpdSolver().factor(H)
-    lu_stored, solve_stored = solvers._SpdSolver().factor(stored)
-    x, x_stored = solve(b), solve_stored(b)
+    x = solvers._SpdSolver().solve(H, b)
+    x_stored = solvers._SpdSolver().solve(stored, b)
+    (_, lu), (_, lu_stored) = splu_calls
     assert lu.L.nnz + lu.U.nnz <= 0.7 * (lu_stored.L.nnz + lu_stored.U.nnz)
     assert np.linalg.norm(x - x_stored) <= 1e-12 * np.linalg.norm(x_stored)
 
 
-def test_newton_orders_once_per_solve(monkeypatch):
+def test_newton_orders_once_per_solve(splu_calls):
     # from the p = 2 solution, as the adaptive loop warm-starts; a flat
     # start has an isotropic Hessian, whose right-angle couplings vanish
     prob = _lshape_problem(p=1.2, level=2)
     u0, _ = newton_solve(_lshape_problem(p=2.0, level=2), tol_abs=1e-12)
-    orderings = []
-    splu = spla.splu
-
-    def spy(A, **kwargs):
-        orderings.append(kwargs["permc_spec"])
-        return splu(A, **kwargs)
-
-    monkeypatch.setattr(solvers.spla, "splu", spy)
+    splu_calls.clear()
     _, rep = newton_solve(prob, u0=u0, tol_abs=1e-8)
     assert rep.converged and rep.iterations > 2
+    orderings = [ordering for ordering, _ in splu_calls]
+    assert orderings == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (rep.iterations - 1)
+
+
+@pytest.mark.parametrize("space", ["cr", "p1"])
+def test_kacanov_orders_once_per_solve(splu_calls, space):
+    # every Kacanov step is one direct solve on the solve's one ordering:
+    # the secant weights change the stiffness values, not its pattern
+    mesh = uniform_refine(make_lshape_mesh(), 2)
+    f_h = PwConstant(mesh, np.ones(mesh.num_triangles))
+    prob = DiscreteProblem(mesh, OptimalDesignDensity(), f_h, space=space)
+    # an infinite dual value never stops the P1 solve; CR ignores it
+    _, rep = gradient_flow_solve(prob, max_iter=8, dual=-np.inf)
+    assert rep.iterations > 2
+    orderings = [ordering for ordering, _ in splu_calls]
     assert orderings == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (rep.iterations - 1)
 
 
@@ -586,83 +601,6 @@ def test_inhomogeneous_dirichlet_affine_reproduction(monkeypatch):
 # ---------------------------------------------------------------------------
 # gradient flow
 # ---------------------------------------------------------------------------
-
-def test_recycled_solver_tracks_drifting_systems(monkeypatch):
-    from pdgap.solvers import _RecycledSpdSolver
-
-    monkeypatch.setattr(solvers, "_REFRESH_AFTER", 5)
-    rng = np.random.default_rng(21)
-    n = 120
-    base = sp.diags([np.full(n - 1, -1.0), np.full(n, 4.0),
-                     np.full(n - 1, -1.0)], [-1, 0, 1], format="csc")
-    solver = _RecycledSpdSolver()
-    scale = 1.0
-    for step in range(12):
-        scale *= 1.3 if step % 3 else 3.0  # keep the factorization going stale
-        A = base * scale + sp.eye(n, format="csc")
-        b = rng.standard_normal(n)
-        x = solver.solve(A, b)
-        assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
-        assert np.allclose(x, _direct_solve(A, b), atol=1e-10)
-
-
-def test_recycled_solver_checks_the_true_residual_of_cg(monkeypatch):
-    # cg may report convergence (info == 0) on its recursive residual alone;
-    # a result that misses the backward-error bound must be re-solved
-    from pdgap.solvers import _RecycledSpdSolver
-
-    n = 80
-    A = sp.diags([np.full(n - 1, -1.0), np.full(n, 4.0),
-                  np.full(n - 1, -1.0)], [-1, 0, 1], format="csc")
-    b = np.random.default_rng(5).standard_normal(n)
-    factorizations = []
-    splu = spla.splu
-
-    def counting_splu(*args, **kwargs):
-        factorizations.append(1)
-        return splu(*args, **kwargs)
-
-    def wrong_cg(A, b, **kwargs):
-        return np.full_like(b, 1.0), 0
-
-    monkeypatch.setattr(solvers.spla, "splu", counting_splu)
-    monkeypatch.setattr(solvers.spla, "cg", wrong_cg)
-    solver = _RecycledSpdSolver()
-    solver.solve(A, b)
-    assert len(factorizations) == 1
-    x = solver.solve(A * 1.01, b)
-    assert len(factorizations) == 2
-    assert np.linalg.norm(A * 1.01 @ x - b) <= 1e-12 * np.linalg.norm(b)
-
-
-@pytest.mark.parametrize("refresh_after, expected", [(1000, 1), (0, 3)])
-def test_recycled_solver_refreshes_after_slow_cg(monkeypatch, refresh_after,
-                                                 expected):
-    # a CG solve longer than _REFRESH_AFTER iterations drops the factor, so
-    # the next system is factorized afresh
-    from pdgap.solvers import _RecycledSpdSolver
-
-    n = 60
-    base = sp.diags([np.full(n - 1, -1.0), np.full(n, 4.0),
-                     np.full(n - 1, -1.0)], [-1, 0, 1], format="csc")
-    b = np.random.default_rng(9).standard_normal(n)
-    factorizations = []
-    splu = spla.splu
-
-    def counting_splu(*args, **kwargs):
-        factorizations.append(1)
-        return splu(*args, **kwargs)
-
-    monkeypatch.setattr(solvers.spla, "splu", counting_splu)
-    monkeypatch.setattr(solvers, "_REFRESH_AFTER", refresh_after)
-    solver = _RecycledSpdSolver()
-    for step in range(6):
-        # every CG needs a step
-        A = base * (1.0 + 0.1 * step) + sp.eye(n, format="csc")
-        x = solver.solve(A, b)
-        assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
-    assert len(factorizations) == expected
-
 
 def test_flow_matches_direct_solve_for_quadratic():
     prob = _lshape_problem(p=2.0)

@@ -51,7 +51,8 @@ def design_state(request):
     u *= 1e-2
     grads = problem.broken_gradient(u)
     slopes = problem.density.slope_ratio(np.sqrt(np.sum(grads ** 2, axis=-1)))
-    problem.weighted_stiffness(slopes)  # the cached pattern, as above
+    # build the cached pattern and basis-gradient products, as above
+    problem.weighted_stiffness(slopes)
     return problem, u, slopes
 
 

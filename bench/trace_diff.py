@@ -13,8 +13,12 @@ the L-shape mesh as built, and runs ``run_benchmark`` in a fresh process
 with ``PYTHONPATH`` set to the checkout's ``src``.  The trace, without its
 ``seconds`` column, goes to ``DIR/<workload>.csv`` for one checkout and to
 ``DIR/a/<workload>.csv`` and ``DIR/b/<workload>.csv`` for two.  With two
-checkouts it prints, per workload, ``identical`` or the first row that
-differs, and exits with status 1 if any trace differs.
+checkouts it matches the cells of the two traces by column name.  Per
+workload it prints the columns that only one side has (``columns only in
+a: eta_sq``), then ``identical`` if every shared cell is equal, or else
+the first row whose shared cells differ, or the two row counts.  It exits
+with status 1 if a shared cell differs in any workload; a column that only
+one side has is reported but is not a difference.
 
 ``--workload`` (repeatable) picks workloads, ``--levels`` overrides their
 level count, and ``--seed``/``--study`` relabel the initial mesh as the
@@ -81,19 +85,37 @@ def run_trace(checkout: Path, workload: str, levels: int, seed: int,
     return done.returncode
 
 
-def first_difference(a: Path, b: Path) -> str | None:
-    """``None`` if the two files are equal, else their first differing
-    row, cell by cell."""
-    rows_a, rows_b = a.read_text().splitlines(), b.read_text().splitlines()
-    if rows_a == rows_b:
-        return None
-    header = rows_a[0].split(",")
-    for k, (ra, rb) in enumerate(zip(rows_a, rows_b)):
-        if ra != rb:
-            cells = [f"{name}: {x} vs {y}" for name, x, y in
-                     zip(header, ra.split(","), rb.split(",")) if x != y]
-            return f"row {k}: " + "; ".join(cells)
-    return f"{len(rows_a)} vs {len(rows_b)} rows"
+def _columns(path: Path) -> tuple[dict[str, list[str]], int]:
+    """The cells of a trace file by column name, in file order, and its
+    row count."""
+    header, *rows = (line.split(",") for line in
+                     path.read_text().splitlines())
+    return {name: [row[i] for row in rows]
+            for i, name in enumerate(header)}, len(rows)
+
+
+def compare(a: Path, b: Path) -> tuple[list[str], bool]:
+    """Compare two traces by column name.
+
+    Returns the report lines and whether a shared cell differs.  The lines
+    name the columns that only one side has, then say ``identical``, or
+    give the first row whose shared cells differ, cell by cell, or the two
+    row counts.
+    """
+    (cols_a, n_a), (cols_b, n_b) = _columns(a), _columns(b)
+    lines = [f"columns only in {side}: {', '.join(only)}"
+             for side, only in (("a", [c for c in cols_a if c not in cols_b]),
+                                ("b", [c for c in cols_b if c not in cols_a]))
+             if only]
+    shared = [c for c in cols_a if c in cols_b]
+    for k in range(min(n_a, n_b)):
+        cells = [f"{c}: {cols_a[c][k]} vs {cols_b[c][k]}" for c in shared
+                 if cols_a[c][k] != cols_b[c][k]]
+        if cells:
+            return lines + [f"row {k}: " + "; ".join(cells)], True
+    if n_a != n_b:
+        return lines + [f"{n_a} vs {n_b} rows"], True
+    return lines + ["identical"], False
 
 
 def main(argv=None) -> int:
@@ -123,9 +145,10 @@ def main(argv=None) -> int:
             print(f"{workload}{' ' + side if side else ''}: exit status "
                   f"{rc}, {paths[side]}")
         if len(paths) == 2:
-            diff = first_difference(paths["a"], paths["b"])
-            differ |= diff is not None
-            print(f"{workload}: {diff or 'identical'}")
+            lines, differs = compare(paths["a"], paths["b"])
+            differ |= differs
+            for line in lines:
+                print(f"{workload}: {line}")
     return 1 if differ else 0
 
 

@@ -16,8 +16,9 @@ from typing import Any, Callable
 import numpy as np
 
 from .energy_models import OptimalDesignDensity
-from .estimators import (EstimatorBreakdown, dual_energy, eta_hat_sq,
-                         eta_res_sq, primal_energy, rho_F_sq, rho_I_sq)
+from .estimators import (GapIndicators, ResidualIndicators, dual_energy,
+                         eta_hat_sq, eta_res_sq, primal_energy, rho_F_sq,
+                         rho_I_sq)
 from .fespaces import (CrFunction, P1Function, PwConstant, node_average,
                        project_pw, prolong_cr)
 from .mesh import Triangulation, refine
@@ -36,9 +37,8 @@ _SOLVERS = ("newton", "flow")
 _MARKERS = ("pd", "residual")
 
 #: Trace CSV column names, in file order.
-CSV_COLUMNS = ("k", "N", "elements", "eta_hat_sq", "eta_sq", "eta_res_sq",
-               "rho_sq", "rho_I_sq", "I_primal", "D_dual", "discrete_gap",
-               "seconds")
+CSV_COLUMNS = ("k", "N", "elements", "eta_hat_sq", "eta_res_sq", "rho_sq",
+               "rho_I_sq", "I_primal", "D_dual", "discrete_gap", "seconds")
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,6 @@ class AfemRecord:
     N: int
     elements: int
     eta_hat_sq: float
-    eta_sq: float
     eta_res_sq: float
     rho_sq: float
     rho_I_sq: float
@@ -142,15 +141,17 @@ class AfemRecord:
 
 @dataclass
 class LevelState:
-    """Discrete fields of the last completed iteration (for dumps/tests)."""
+    """Discrete fields of the last completed iteration (for dumps/tests):
+    the level's gap indicators of ``candidate`` and ``flux``, and the
+    residual indicators of ``candidate``."""
 
     mesh: Triangulation
     f_h: PwConstant
     u_cr: CrFunction
     flux: MariniField
     candidate: P1Function
-    indicators: EstimatorBreakdown
-    residual: EstimatorBreakdown
+    indicators: GapIndicators
+    residual: ResidualIndicators
 
 
 @dataclass
@@ -362,7 +363,6 @@ def afem_run(problem: AfemProblem, cfg: AfemConfig) -> AfemTrace:
         trace.records.append(AfemRecord(
             k=k, N=mesh.num_vertices, elements=mesh.num_triangles,
             eta_hat_sq=indicators.eta_hat_sq_total,
-            eta_sq=indicators.eta_sq_total,
             eta_res_sq=residual.eta_res_sq_total,
             rho_sq=rho, rho_I_sq=rho_I,
             I_primal=primal, D_dual=dual, discrete_gap=primal - dual,

@@ -315,10 +315,9 @@ def _dump_indicators(trace: AfemTrace, path) -> None:
     level = trace.final
     ind, res = level.indicators, level.residual
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("element_id,eta_sq,eta_A,eta_D_hat,eta_res_sq\n")
+        fh.write("element_id,eta_A,eta_D_hat,eta_res_sq\n")
         for t in range(level.mesh.num_triangles):
-            cells = [ind.eta_sq[t], ind.eta_A_sq[t], ind.eta_D_hat_sq[t],
-                     res.eta_res_sq[t]]
+            cells = [ind.eta_A_sq[t], ind.eta_D_hat_sq[t], res.eta_res_sq[t]]
             fh.write(f"{t}," + ",".join(f"{c:.17g}" for c in cells) + "\n")
 
 
@@ -334,8 +333,11 @@ def run_benchmark(spec: BenchmarkSpec, cfg: AfemConfig, out_dir,
                   dump_fields=None) -> int:
     """Run one benchmark and write ``trace.csv`` plus the two SVG plots.
 
-    Optional dump paths add per-element indicator, per-side flux
-    coefficient, and per-unknown solution CSVs for the final level.
+    The estimator plot shows the gap ``eta_hat_sq``, the residual
+    ``eta_res_sq`` and the error ``rho_sq``.  Optional dump paths add CSVs
+    of the final level: per element ``eta_A``, ``eta_D_hat`` (they sum to
+    the gap indicator) and ``eta_res_sq``; per side the flux coefficient;
+    and per unknown the solution.
     Returns 0 on success and 1 (with a diagnostic on stderr) when the
     nonlinear solver failed; the partial trace is still written.
     ``seed`` is accepted and ignored: the run is deterministic.
@@ -347,7 +349,7 @@ def run_benchmark(spec: BenchmarkSpec, cfg: AfemConfig, out_dir,
 
     trace.to_csv(out / "trace.csv")
     if trace.records:
-        emit_plot(trace, ["eta_hat_sq", "eta_sq", "eta_res_sq", "rho_sq"],
+        emit_plot(trace, ["eta_hat_sq", "eta_res_sq", "rho_sq"],
                   out / "estimator_vs_N.svg", logy=True,
                   title=f"estimators vs N ({trace.problem})")
         emit_plot(trace, ["I_primal", "D_dual"],

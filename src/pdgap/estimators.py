@@ -2,24 +2,25 @@
 
 Two families are provided, both localized per element:
 
-* the gap indicators ``eta`` (Fenchel-Young residuals of a conforming
-  candidate and a feasible dual field) together with their guaranteed
-  vertex-rule upper variant ``eta_hat``, and
+* the guaranteed gap indicators ``eta_hat`` of a conforming candidate and a
+  feasible dual field: the Fenchel-Young residual ``eta_A`` plus the
+  vertex-rule conjugate deficit ``eta_D_hat``, with ``eta_hat`` summing to
+  the primal-dual gap of the pair (:class:`GapIndicators`), and
 * the classical residual indicator ``eta_res`` built from element load
-  residuals and side jumps of the nonlinear numerical flux.
+  residuals and side jumps of the nonlinear numerical flux
+  (:class:`ResidualIndicators`).
 
 The vertex (trapezoidal) rule overestimates integrals of convex integrands,
-which makes ``eta_hat`` computable and one-sided: per element
-``0 <= eta <= eta_hat``.  Dual feasibility (``z`` in H(div) with
-``div z = -f_h`` and ``z.n = 0`` on Neumann sides: divergence, normal
-continuity and the Neumann flux) is a precondition for the gap family;
-violations are marked with ``+inf`` rather than raised, so callers can
-surface them in traces.
+which makes ``eta_hat`` computable and one-sided.  Dual feasibility (``z``
+in H(div) with ``div z = -f_h`` and ``z.n = 0`` on Neumann sides:
+divergence, normal continuity and the Neumann flux) is a precondition for
+the gap family; violations are marked with ``+inf`` rather than raised, so
+callers can surface them in traces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -29,7 +30,7 @@ from .fespaces import CrFunction, P1Function, PwConstant, Rt0Field
 from .mesh import NEUMANN
 from .quadrature import RULE_ORDER4, TriangleRule, integrate
 
-__all__ = ["EstimatorBreakdown", "AitkenResult",
+__all__ = ["GapIndicators", "ResidualIndicators", "AitkenResult",
            "primal_energy", "dual_energy", "eta_hat_sq", "eta_res_sq",
            "rho_F_sq", "rho_I_sq", "aitken_extrapolate"]
 
@@ -39,35 +40,32 @@ __all__ = ["EstimatorBreakdown", "AitkenResult",
 # ---------------------------------------------------------------------------
 
 @dataclass
-class EstimatorBreakdown:
-    """Per-element estimator contributions (squared-unit quantities).
+class GapIndicators:
+    """Per-element guaranteed gap indicators (squared-unit quantities):
+    ``eta_hat_sq = eta_A_sq + eta_D_hat_sq``, all ``+inf`` for an
+    infeasible dual field."""
 
-    The gap part satisfies ``eta_sq = eta_A_sq + eta_D_sq`` and
-    ``eta_hat_sq = eta_A_sq + eta_D_hat_sq`` per element, with
-    ``0 <= eta_sq <= eta_hat_sq`` (the exact-quadrature ``eta_D_sq`` is
-    diagnostic; the shipped estimator is ``eta_hat_sq``).  The residual
-    part carries the element term ``eta_E_sq``, the per-side jump terms
-    ``eta_J_sq``, and the element totals ``eta_res_sq`` in which each
-    interior side is charged in full to both adjacent elements.  Parts not
-    computed by a given entry point are ``None``.
-    """
+    eta_A_sq: np.ndarray
+    eta_D_hat_sq: np.ndarray
+    eta_hat_sq: np.ndarray = field(init=False)
 
-    eta_A_sq: np.ndarray | None = None
-    eta_D_sq: np.ndarray | None = None
-    eta_D_hat_sq: np.ndarray | None = None
-    eta_sq: np.ndarray | None = None
-    eta_hat_sq: np.ndarray | None = None
-    eta_E_sq: np.ndarray | None = None
-    eta_J_sq: np.ndarray | None = None      # per side
-    eta_res_sq: np.ndarray | None = None    # per element
-
-    @property
-    def eta_sq_total(self) -> float:
-        return float(np.sum(self.eta_sq))
+    def __post_init__(self):
+        self.eta_hat_sq = self.eta_A_sq + self.eta_D_hat_sq
 
     @property
     def eta_hat_sq_total(self) -> float:
         return float(np.sum(self.eta_hat_sq))
+
+
+@dataclass
+class ResidualIndicators:
+    """Residual indicators: the element terms ``eta_E_sq``, the per-side
+    jump terms ``eta_J_sq`` and the element totals ``eta_res_sq``, in which
+    each interior side is charged in full to both adjacent elements."""
+
+    eta_E_sq: np.ndarray
+    eta_J_sq: np.ndarray
+    eta_res_sq: np.ndarray
 
     @property
     def eta_res_sq_total(self) -> float:
@@ -160,41 +158,32 @@ def dual_energy(z: Rt0Field, density, f_h: PwConstant,
 # ---------------------------------------------------------------------------
 
 def eta_hat_sq(u_tilde: P1Function, z: Rt0Field, density,
-               f_h: PwConstant) -> EstimatorBreakdown:
+               f_h: PwConstant) -> GapIndicators:
     """Per-element primal-dual gap indicators for a conforming candidate
     and a feasible dual field.
 
     ``eta_A_sq`` has an elementwise-constant integrand and is exact; it is
-    nonnegative by the Fenchel-Young inequality.  The load and divergence
-    terms of the gap cancel for the elementwise-constant load under the
-    divergence constraint, so they have no field.  ``eta_D_sq`` (conjugate
-    quadrature deficit) is evaluated by an order-4 rule and is diagnostic;
-    its guaranteed vertex-rule variant lives in ``eta_D_hat_sq``, and the
-    shipped estimator is ``eta_hat_sq = eta_A_sq + eta_D_hat_sq``.  All
-    entries are ``+inf`` when the dual field fails the feasibility test
-    (divergence, normal continuity or the Neumann flux).
+    nonnegative by the Fenchel-Young inequality.  ``eta_D_hat_sq`` is the
+    conjugate quadrature deficit, the vertex-rule mean of ``phi*(z)`` minus
+    its value at the element mean, which bounds the exact deficit from
+    above by convexity.  The load and divergence terms of the gap cancel
+    for the elementwise-constant load under the divergence constraint, so
+    they have no field.  All entries are ``+inf`` when the dual field fails
+    the feasibility test (divergence, normal continuity or the Neumann
+    flux).
     """
     mesh = u_tilde.mesh
     if z.mesh is not mesh or f_h.mesh is not mesh:
         raise ValueError("estimator inputs live on different meshes")
     if not _feasible(z, f_h):
         inf = np.full(mesh.num_triangles, np.inf)
-        return EstimatorBreakdown(eta_A_sq=inf, eta_D_sq=inf,
-                                  eta_D_hat_sq=inf, eta_sq=inf,
-                                  eta_hat_sq=inf)
-
-    eta_A, eta_D_hat, conj_mean = _guaranteed_parts(u_tilde, z, density)
-    quad = integrate(RULE_ORDER4, mesh.areas, density.phi_star(
-        z.at_points(RULE_ORDER4.points(mesh.triangle_coords))))
-    eta_D = np.maximum(quad - mesh.areas * conj_mean, 0.0)
-    return EstimatorBreakdown(
-        eta_A_sq=eta_A, eta_D_sq=eta_D, eta_D_hat_sq=eta_D_hat,
-        eta_sq=eta_A + eta_D, eta_hat_sq=eta_A + eta_D_hat)
+        return GapIndicators(inf, inf)
+    return _guaranteed_parts(u_tilde, z, density)
 
 
-def _guaranteed_parts(u_tilde: P1Function, z: Rt0Field, density):
-    """``eta_A_sq`` and ``eta_D_hat_sq`` of :func:`eta_hat_sq`, without the
-    feasibility test, and ``phi*(mean z)`` per element."""
+def _guaranteed_parts(u_tilde: P1Function, z: Rt0Field,
+                      density) -> GapIndicators:
+    """:func:`eta_hat_sq` without the feasibility test."""
     mesh = u_tilde.mesh
     grads = u_tilde.gradients()
     means = z.element_means()
@@ -203,18 +192,19 @@ def _guaranteed_parts(u_tilde: P1Function, z: Rt0Field, density):
     eta_A = mesh.areas * np.maximum(
         density.phi(grads) - np.einsum("td,td->t", grads, means) + conj_mean,
         0.0)
-    # conjugate quadrature deficits: integral of phi*(z) minus its value at
+    # conjugate quadrature deficit: integral of phi*(z) minus its value at
     # the element mean (Jensen gives >= 0; vertex rule bounds the integral)
     eta_D_hat = np.maximum(
         mesh.areas * (_vertex_rule_conjugate(z, density) - conj_mean), 0.0)
-    return eta_A, eta_D_hat, conj_mean
+    return GapIndicators(eta_A, eta_D_hat)
 
 
 # ---------------------------------------------------------------------------
 # Residual indicators
 # ---------------------------------------------------------------------------
 
-def eta_res_sq(u_c: P1Function, f_h: PwConstant, p: float) -> EstimatorBreakdown:
+def eta_res_sq(u_c: P1Function, f_h: PwConstant,
+               p: float) -> ResidualIndicators:
     """Classical residual indicators for the p-power model.
 
     Element term: ``(|grad u_c|^{p-1} + h_T |f_T|)^{p'-2} h_T^2 |f_T|^2 |T|``
@@ -244,8 +234,7 @@ def eta_res_sq(u_c: P1Function, f_h: PwConstant, p: float) -> EstimatorBreakdown
 
     per_side_charge = np.where(interior, eta_J, 0.0)
     eta_res = eta_E + per_side_charge[mesh.tri_sides].sum(axis=1)
-    return EstimatorBreakdown(eta_E_sq=eta_E, eta_J_sq=eta_J,
-                              eta_res_sq=eta_res)
+    return ResidualIndicators(eta_E, eta_J, eta_res)
 
 
 # ---------------------------------------------------------------------------

@@ -138,15 +138,11 @@ class Rt0Field:
         """Elementwise (global, since normal components match) divergence."""
         return PwConstant(self.mesh, 2.0 * self.element_linear()[1])
 
-    def at_points(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at stacked per-triangle points (nt, nq, 2) -> (nt, nq, 2)."""
-        a, b = self.element_linear()
-        rel = points - self.mesh.barycenters[:, None, :]
-        return a[:, None, :] + b[:, None, None] * rel
-
     def at_triangle_vertices(self) -> np.ndarray:
         """(nt, 3, 2) values at the triangle corners."""
-        return self.at_points(self.mesh.triangle_coords)
+        a, b = self.element_linear()
+        rel = self.mesh.triangle_coords - self.mesh.barycenters[:, None, :]
+        return a[:, None, :] + b[:, None, None] * rel
 
 
 # ---------------------------------------------------------------------------

@@ -244,9 +244,14 @@ class DiscreteProblem:
     def weighted_stiffness(self, weights: np.ndarray) -> sp.csc_matrix:
         """Stiffness matrix with elementwise weights, on the free unknowns
         (CSC)."""
-        local = (self.mesh.areas * weights)[:, None, None] * np.einsum(
-            "tid,tjd->tij", self.basis_grads, self.basis_grads)
+        local = ((self.mesh.areas * weights)[:, None, None]
+                 * self._basis_products)
         return self._assemble_free(local)
+
+    @cached_property
+    def _basis_products(self) -> np.ndarray:
+        """(nt, 3, 3) products of basis gradients, one per mesh."""
+        return np.einsum("tid,tjd->tij", self.basis_grads, self.basis_grads)
 
     @cached_property
     def _free_pattern(self):
@@ -559,11 +564,11 @@ def _gap_below_tolerance(problem: DiscreteProblem, u: np.ndarray,
         return False
     gv = (np.zeros(problem.mesh.num_vertices) if vertex_dirichlet is None
           else vertex_dirichlet)
-    # eta_hat_sq of the averaged candidate, without the diagnostic parts
-    eta_A, eta_D_hat, _ = _guaranteed_parts(
-        node_average(u_cr, dirichlet_values=gv), z, problem.density)
+    # eta_hat_sq of the averaged candidate; z passed the test in dual_energy
+    eta_bar_sq = _guaranteed_parts(node_average(u_cr, dirichlet_values=gv),
+                                   z, problem.density).eta_hat_sq_total
     roundoff = 1e-12 * (abs(energy) + abs(dual))
-    return energy - dual <= GAMMA * float(np.sum(eta_A + eta_D_hat)) + roundoff
+    return energy - dual <= GAMMA * eta_bar_sq + roundoff
 
 
 def solve_problem(problem: DiscreteProblem, solver: str = "newton", **kwargs):

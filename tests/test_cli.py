@@ -190,7 +190,7 @@ def test_spec_mesh_override():
 
 def _fake_trace(primal_energies):
     records = [AfemRecord(k=k, N=10 * (k + 1), elements=20 * (k + 1),
-                          eta_hat_sq=1.0, eta_sq=0.9, eta_res_sq=2.0,
+                          eta_hat_sq=1.0, eta_res_sq=2.0,
                           rho_sq=float("nan"), rho_I_sq=float("nan"),
                           I_primal=e, D_dual=e - 0.1,
                           discrete_gap=0.1, seconds=0.0)
@@ -310,7 +310,7 @@ def test_run_benchmark_writes_trace_plots_and_dumps(tmp_path):
         assert ET.parse(tmp_path / name).getroot() is not None
 
     ind_lines = (tmp_path / "indicators.csv").read_text().splitlines()
-    assert ind_lines[0] == "element_id,eta_sq,eta_A,eta_D_hat,eta_res_sq"
+    assert ind_lines[0] == "element_id,eta_A,eta_D_hat,eta_res_sq"
     assert len(ind_lines) - 1 == records[-1].elements
     flux_lines = (tmp_path / "flux.csv").read_text().splitlines()
     assert flux_lines[0] == "side_id,coeff"

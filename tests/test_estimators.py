@@ -11,7 +11,7 @@ from pdgap.fespaces import (CrFunction, P1Function, PwConstant, Rt0Field,
                             node_average)
 from pdgap.mesh import (Triangulation, make_lshape_mesh, make_square_mesh,
                         uniform_refine)
-from pdgap.quadrature import RULE_ORDER4, RULE_ORDER8, integrate
+from pdgap.quadrature import RULE_ORDER4, RULE_ORDER8
 from pdgap.reconstruction import (MariniField, marini_reconstruct,
                                   verify_discrete_optimality)
 from pdgap.solvers import DiscreteProblem, gradient_flow_solve, newton_solve
@@ -59,15 +59,15 @@ def _converged_pair(p=1.6, level=0):
 # ---------------------------------------------------------------------------
 
 def test_reference_triangle_closed_forms():
-    # z(x,y) = (x,y), p=2: vertex-rule deficit 1/6 - 1/18 = 1/9 and exact
-    # deficit 1/12 - 1/18 = 1/36
+    # z(x,y) = (x,y), p=2, u = 0: vertex-rule deficit 1/6 - 1/18 = 1/9 and
+    # Fenchel-Young residual |T| phi*(mean z) = 1/18
     z = _identity_field(REF)
     f_h = PwConstant(REF, np.array([-2.0]))   # div z = 2
     u0 = P1Function(REF, np.zeros(3))
     bd = eta_hat_sq(u0, z, P2, f_h)
     assert bd.eta_D_hat_sq[0] == pytest.approx(1.0 / 9.0, abs=1e-15)
-    assert bd.eta_D_sq[0] == pytest.approx(1.0 / 36.0, abs=1e-15)
-    assert bd.eta_D_hat_sq[0] >= bd.eta_D_sq[0] >= 0.0
+    assert bd.eta_A_sq[0] == pytest.approx(1.0 / 18.0, abs=1e-15)
+    assert bd.eta_hat_sq_total == pytest.approx(1.0 / 6.0, abs=1e-15)
 
 
 def test_constant_field_has_zero_deficit():
@@ -76,7 +76,6 @@ def test_constant_field_has_zero_deficit():
     u0 = P1Function(REF, np.zeros(3))
     bd = eta_hat_sq(u0, z, P2, f_h)
     assert bd.eta_D_hat_sq[0] == 0.0
-    assert bd.eta_D_sq[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_gradient_pair_gives_zero_eta():
@@ -89,7 +88,7 @@ def test_gradient_pair_gives_zero_eta():
     u_tilde = P1Function(mesh, mesh.vertices @ grad)
     z = _constant_field(mesh, density.dphi(grad[None])[0])
     bd = eta_hat_sq(u_tilde, z, density, f_h)
-    assert bd.eta_sq_total == pytest.approx(0.0, abs=1e-14)
+    assert float(np.sum(bd.eta_A_sq)) == pytest.approx(0.0, abs=1e-14)
     assert bd.eta_hat_sq_total == pytest.approx(0.0, abs=1e-14)
 
 
@@ -106,22 +105,20 @@ def test_breakdown_invariants_random_pairs():
             z = marini_reconstruct(u_cr, density, f_h, stress=rep.stress)
             u_tilde = P1Function(mesh, rng.normal(size=mesh.num_vertices))
             bd = eta_hat_sq(u_tilde, z, density, f_h)
-            scale = max(bd.eta_hat_sq_total, 1.0)
             assert np.all(bd.eta_A_sq >= 0.0)
-            assert np.all(bd.eta_sq >= 0.0)
-            assert np.all(bd.eta_hat_sq - bd.eta_sq >= -1e-12 * scale)
-            assert np.allclose(bd.eta_sq, bd.eta_A_sq + bd.eta_D_sq,
-                               atol=0.0)
-            assert np.allclose(bd.eta_hat_sq, bd.eta_A_sq + bd.eta_D_hat_sq,
-                               atol=0.0)
+            assert np.all(bd.eta_D_hat_sq >= 0.0)
+            assert np.array_equal(bd.eta_hat_sq,
+                                  bd.eta_A_sq + bd.eta_D_hat_sq)
+            assert bd.eta_hat_sq_total == float(np.sum(bd.eta_hat_sq))
 
 
 def test_infeasible_dual_field_marks_infinity():
     mesh, f_h, density, u_cr, z, u_tilde = _converged_pair()
     bad = Rt0Field(mesh, 1.1 * z.coeffs)
     bd = eta_hat_sq(u_tilde, bad, density, f_h)
-    assert np.all(np.isinf(bd.eta_sq))
-    assert np.isinf(bd.eta_hat_sq_total)
+    for part in (bd.eta_A_sq, bd.eta_D_hat_sq, bd.eta_hat_sq):
+        assert np.all(part == np.inf)
+    assert bd.eta_hat_sq_total == np.inf
     assert dual_energy(bad, density, f_h) == -np.inf
 
 
@@ -234,8 +231,7 @@ def test_feasibility_boundary_agrees_across_entry_points(ratio):
             value = dual_energy(z, density, f_h, quadrature=quadrature)
             assert np.isfinite(value) if feasible else value == -np.inf
         bd = eta_hat_sq(u_tilde, z, density, f_h)
-        for part in (bd.eta_A_sq, bd.eta_D_sq, bd.eta_D_hat_sq, bd.eta_sq,
-                     bd.eta_hat_sq):
+        for part in (bd.eta_A_sq, bd.eta_D_hat_sq, bd.eta_hat_sq):
             assert np.all(np.isfinite(part)) if feasible \
                 else np.all(part == np.inf)
         report = verify_discrete_optimality(u_cr, z, density, f_h)
@@ -493,51 +489,33 @@ def test_aitken_input_validation():
 # monotonicity bounds on the gap indicators
 # ---------------------------------------------------------------------------
 
-def _ppower_conjugate_gradient(density, b):
-    """``Dphi*(b) = |b|^(q-2) b`` of a p-power density."""
-    r = np.sqrt(np.sum(b ** 2, axis=-1))
-    return (np.where(r > 0, r, 1.0) ** (density.q - 2.0))[..., None] * b
-
-
-def _monotonicity_bounds(u_tilde, u_cr, z, density):
+def _monotonicity_bound(u_tilde, u_cr, density):
     """Per-element ``B_A = int (Dphi(grad u_tilde) - Dphi(grad u_cr)) .
-    (grad u_tilde - grad u_cr)`` and ``B_D = int (Dphi*(z) - Dphi*(mean z))
-    . (z - mean z)`` (order-4 rule); by convexity they dominate ``eta_A_sq``
-    and ``eta_D_sq`` when ``z`` is the flux reconstructed from ``u_cr``."""
-    mesh = u_tilde.mesh
+    (grad u_tilde - grad u_cr)``; by convexity it dominates ``eta_A_sq``
+    when ``z`` is the flux reconstructed from ``u_cr``."""
     gt, gc = u_tilde.gradients(), u_cr.gradients()
-    b_a = mesh.areas * np.einsum(
+    return u_tilde.mesh.areas * np.einsum(
         "td,td->t", density.dphi(gt) - density.dphi(gc), gt - gc)
-    zvals = z.at_points(RULE_ORDER4.points(mesh.triangle_coords))
-    means = z.element_means()
-    b_d = integrate(RULE_ORDER4, mesh.areas, np.einsum(
-        "tqd,tqd->tq",
-        _ppower_conjugate_gradient(density, zvals)
-        - _ppower_conjugate_gradient(density, means)[:, None, :],
-        zvals - means[:, None, :]))
-    return b_a, b_d
 
 
 def test_gap_bounds_p2_identities():
-    # at p = 2 both indicators are exactly half their monotonicity bounds
+    # at p = 2 the Fenchel-Young part is exactly half its monotonicity bound
     mesh, f_h, density, u_cr, z, u_tilde = _converged_pair(p=2.0)
-    b_a, b_d = _monotonicity_bounds(u_tilde, u_cr, z, density)
+    b_a = _monotonicity_bound(u_tilde, u_cr, density)
     diff = u_tilde.gradients() - u_cr.gradients()
     expect_a = mesh.areas * np.sum(diff ** 2, axis=-1)
     assert np.allclose(b_a, expect_a, atol=1e-15)
     bd = eta_hat_sq(u_tilde, z, density, f_h)
     assert np.allclose(bd.eta_A_sq, 0.5 * b_a, atol=1e-15)
-    assert np.allclose(bd.eta_D_sq, 0.5 * b_d, atol=1e-14)
 
 
 def test_gap_bounds_dominate_indicators():
     for p in (1.6, 1.2):
         mesh, f_h, density, u_cr, z, u_tilde = _converged_pair(p=p)
         bd = eta_hat_sq(u_tilde, z, density, f_h)
-        b_a, b_d = _monotonicity_bounds(u_tilde, u_cr, z, density)
+        b_a = _monotonicity_bound(u_tilde, u_cr, density)
         scale = max(bd.eta_hat_sq_total, 1.0)
         assert np.all(bd.eta_A_sq <= b_a + 1e-10 * scale)
-        assert np.all(bd.eta_D_sq <= b_d + 1e-10 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -586,5 +564,4 @@ def test_gap_dominates_overkill_error_with_convexity_constant():
     rho = rho_F_sq(u_tilde, exact_grad, p=2.0)
     bd = eta_hat_sq(u_tilde, z, P2, f_coarse)
     assert np.all(bd.eta_A_sq >= 0.0)
-    assert rho <= 2.0 * bd.eta_sq_total
     assert rho <= 2.0 * bd.eta_hat_sq_total

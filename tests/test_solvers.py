@@ -11,7 +11,8 @@ import pdgap.afem as afem
 import pdgap.solvers as solvers
 from pdgap.energy_models import OptimalDesignDensity, PPowerDensity
 from pdgap.afem import conforming_candidate
-from pdgap.estimators import _feasible, dual_energy, eta_hat_sq, primal_energy
+from pdgap.estimators import (GapIndicators, _feasible, dual_energy,
+                              eta_hat_sq, primal_energy)
 from pdgap.fespaces import PwConstant, node_average
 from pdgap.mesh import Triangulation, make_lshape_mesh, refine, uniform_refine
 from pdgap.quadrature import RULE_ORDER4, integrate
@@ -740,7 +741,8 @@ def test_infeasible_flux_never_stops_the_kacanov_solve(monkeypatch):
     prob = DiscreteProblem(mesh, OptimalDesignDensity(), f_h, space="cr")
     monkeypatch.setattr(solvers, "dual_energy", lambda *a, **k: -np.inf)
     monkeypatch.setattr(solvers, "_guaranteed_parts",
-                        lambda *a: (np.inf, np.inf, None))
+                        lambda *a: GapIndicators(np.array([np.inf]),
+                                                 np.array([np.inf])))
     _, rep = gradient_flow_solve(prob, max_iter=5)
     assert not rep.converged and rep.iterations == 5
 

@@ -1,7 +1,7 @@
 """Layer micro-benchmark: one SPD factorization and solve.
 
 Times ``pdgap.solvers._SpdSolver.solve``, the factorization and solve
-behind every Newton and every Kacanov step, on Crouzeix-Raviart Hessians
+behind every Newton and every flow step, on Crouzeix-Raviart Hessians
 of the uniformly refined L-shape at about 10k, 40k and 150k unknowns:
 p = 1.2 Hessians, which have no exact zeros, and p = 2 Hessians, whose
 couplings across right angles are exact zeros that the assembly does not

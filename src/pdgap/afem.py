@@ -246,7 +246,7 @@ def conforming_candidate(u: CrFunction, density, f_h: PwConstant,
     flow solver it needs ``flux``, a feasible dual field of the level: its
     discrete dual value ``dual_energy(flux, ..., boundary_values=<side
     means of the averaged trace>, quadrature="mean")``, computed once,
-    lower-bounds the conforming energy and stops the P1 Kacanov solve (see
+    lower-bounds the conforming energy and stops the P1 flow solve (see
     :func:`~pdgap.solvers.gradient_flow_solve`).
     """
     mesh = u.mesh

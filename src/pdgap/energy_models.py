@@ -10,9 +10,9 @@ Two radial densities ``phi(a) = psi(|a|)`` are provided:
   plateau ``[t1, t2]``, and grows with slope ``mu1 < mu2`` beyond it.
 
 All vector operations accept arrays of shape ``(..., 2)`` and are fully
-vectorized.  ``slope_ratio`` returns ``psi'(t)/t``, the scalar coefficient
-that turns the gradient into a weighted linear operation (used by the
-fixed-point/gradient-flow solver).
+vectorized.  ``slope_ratio`` returns ``psi'(t)/t``, the secant slope with
+``Dphi(a) = (psi'(|a|)/|a|) a``; the flow solver floors the Hessian with
+it.
 
 The load term ``v -> -int f_h v`` needs no class: its conjugate is the
 indicator of the constraint ``div z + f_h = 0``, which

@@ -12,11 +12,11 @@ construction.  By Marini's identity its normal components match across
 sides exactly when sigma solves a *linear* CR problem with load f_h, i.e.
 ``sum_T |T| sigma_T . grad phi_S = int f_h phi_S`` for every free side
 basis function ``phi_S``.  The solvers hand back such a stress from their
-last linear solve (:attr:`~pdgap.solvers.SolverReport.stress`): the
-Kacanov step's ``a_n grad u^{n+1}`` or the Newton step's ``Dphi(grad u) +
-D2phi(grad u) grad delta``.  That flux is feasible for every iterate, not
-only at the discrete minimizer, and its normal mismatch is a roundoff
-diagnostic at the level of the linear solve's backward error.  The default
+last linear solve (:attr:`~pdgap.solvers.SolverReport.stress`),
+``Dphi(grad u) + T grad delta`` with ``T`` the Hessian (floored in the
+flow).  That flux is feasible for every iterate, not only at the discrete
+minimizer, and its normal mismatch is a roundoff diagnostic at the level
+of the linear solve's backward error.  The default
 stress ``Dphi(grad u)`` gives a feasible flux only at an exact discrete
 minimizer.
 

@@ -7,18 +7,19 @@
 over the Crouzeix-Raviart space (``space="cr"``, one unknown per side
 midpoint) or the conforming P1 space (``space="p1"``, one unknown per
 vertex), with Dirichlet values eliminated.  Both solvers run one descent
-loop with one step-length rule: ``u <- u + t delta`` with ``A(u) delta =
--DI(u)`` on the free unknowns, and ``t`` from a line search to the energy's
-minimum along ``delta`` (a regula falsi on the directional derivative until
-the strong Wolfe curvature condition holds, accepted under Armijo).  They
-differ in the linearization ``A`` and the stop rule:
+loop with one linearisation and one step-length rule: ``u <- u + t delta``
+with ``H_floor(u) delta = -DI(u)`` on the free unknowns (see
+:meth:`DiscreteProblem.hessian`), and ``t`` from a line search to the
+energy's minimum along ``delta`` (a regula falsi on the directional
+derivative until the strong Wolfe curvature condition holds, accepted
+under Armijo).  They differ in the floor and the stop rule:
 
-* :func:`newton_solve` -- the density's (possibly regularized) Hessian,
-  stopped on the residual;
-* :func:`gradient_flow_solve` -- the Kacanov iteration, the tau -> infinity
-  limit of the semi-implicit gradient flow: the stiffness matrix weighted
-  by the secant slopes, stopped on CR by the guaranteed discrete gap of its
-  flux and on P1 once a step gains little against a given dual value.
+* :func:`newton_solve` -- floor 0, the density's (possibly regularized)
+  Hessian, stopped on the residual;
+* :func:`gradient_flow_solve` -- floor :data:`FLOOR`, which makes the
+  optimal-design Hessian SPD on its plateau, stopped on CR by the
+  guaranteed discrete gap of its flux and on P1 once a step gains little
+  against a given dual value.
 
 On the CR space both report the elementwise stress of their last linear
 solve (:attr:`SolverReport.stress`).  It solves a *linear* CR problem, so by
@@ -153,6 +154,24 @@ class _SpdSolver:
         return slots, indptr, rows[slots].astype(A_indices.dtype), order
 
 
+def _floored_hessian(density, grads: np.ndarray, floor: float) -> np.ndarray:
+    """``(nt, 2, 2)`` tensor ``D + floor (s I - D)`` at the elementwise
+    gradients ``a = grads``, with ``D = d2phi(a)`` and ``s = psi'(|a|)/|a|``.
+
+    ``floor = 0`` gives ``D``, and so does every floor where ``D = s I``: at
+    p = 2 and on the design density's quadratic branches.  On the design
+    plateau ``t1 < |a| <= t2`` the radial eigenvalue ``psi'' = 0`` of ``D``
+    becomes ``floor s`` and the tangential one stays ``s``, so for ``floor >
+    0`` the tensor is SPD: Newton's method with a Hessian modification
+    (Nocedal and Wright, Numerical Optimization, 2006, Sec. 3.4).
+    """
+    hess = density.d2phi(grads)
+    if not floor:
+        return hess
+    secant = density.slope_ratio(np.sqrt(np.sum(grads ** 2, axis=-1)))
+    return hess + floor * (secant[..., None, None] * np.eye(2) - hess)
+
+
 class DiscreteProblem:
     """Energy, gradient, and Hessian of the discrete minimization problem.
 
@@ -232,26 +251,20 @@ class DiscreteProblem:
         np.add.at(out, self.dof_map.ravel(), cell.ravel())
         return out
 
-    def hessian(self, u: np.ndarray) -> sp.csc_matrix:
-        """Hessian restricted to the free unknowns (CSC)."""
-        grads = self.broken_gradient(u)
-        d2 = self.density.d2phi(grads)  # (nt, 2, 2)
+    def hessian(self, u: np.ndarray, floor: float = 0.0) -> sp.csc_matrix:
+        """Free-dof matrix (CSC) of :func:`_floored_hessian` at ``grad u``;
+        the Hessian at ``floor = 0``."""
+        tensor = _floored_hessian(self.density, self.broken_gradient(u), floor)
         # batched B D B^T: about half the time of a three-operand einsum
         local = self.mesh.areas[:, None, None] * (
-            self.basis_grads @ d2 @ self.basis_grads.transpose(0, 2, 1))
+            self.basis_grads @ tensor @ self.basis_grads.transpose(0, 2, 1))
         return self._assemble_free(local)
 
     def weighted_stiffness(self, weights: np.ndarray) -> sp.csc_matrix:
-        """Stiffness matrix with elementwise weights, on the free unknowns
-        (CSC)."""
-        local = ((self.mesh.areas * weights)[:, None, None]
-                 * self._basis_products)
+        """Weighted stiffness; kept for pdbench/tracer.py, see ROADMAP 2(b)."""
+        local = (self.mesh.areas * weights)[:, None, None] * np.einsum(
+            "tid,tjd->tij", self.basis_grads, self.basis_grads)
         return self._assemble_free(local)
-
-    @cached_property
-    def _basis_products(self) -> np.ndarray:
-        """(nt, 3, 3) products of basis gradients, one per mesh."""
-        return np.einsum("tid,tjd->tij", self.basis_grads, self.basis_grads)
 
     @cached_property
     def _free_pattern(self):
@@ -283,9 +296,10 @@ class DiscreteProblem:
     def _assemble_free(self, local: np.ndarray) -> sp.csc_matrix:
         """Sum the ``(nt, 3, 3)`` local matrices into the free-dof matrix.
 
-        Exact zeros are not stored: at p = 2 and in the Kacanov stiffness
-        every CR coupling across a right angle vanishes, and a stored zero
-        would still enter the fill-reducing ordering and the fill.
+        Exact zeros are not stored: where the tensor is a multiple of the
+        identity (p = 2, the design density's quadratic branches) every CR
+        coupling across a right angle vanishes, and a stored zero would
+        still enter the fill-reducing ordering and the fill.
         """
         indptr, indices, entries, slots = self._free_pattern
         data = np.bincount(slots, weights=local.ravel()[entries],
@@ -323,28 +337,37 @@ class _Descent:
     stress: Callable[[], np.ndarray] | None = None
 
 
-def _descend(problem: DiscreteProblem, u0, method: str, linearize, stop,
+def _descend(problem: DiscreteProblem, u0, method: str, floor: float, stop,
              reason: str, max_iter: int) -> tuple[np.ndarray, SolverReport]:
-    """The one descent loop: ``u <- u + t delta``, ``A(u) delta = -DI(u)``.
+    """The one descent loop: ``u <- u + t delta``, ``H delta = -DI(u)``.
 
-    ``linearize(u)`` returns the free-dof matrix ``A`` and ``stress(delta)``,
-    the stress of the linear problem that the step ``delta`` solves.  Every
-    ``delta`` is a direct solve of one :class:`_SpdSolver`, which keeps its
-    ordering across the loop; ``t`` comes from :func:`_line_search`.  The
-    solve ends with ``reason`` once ``stop(state)`` holds before a step, or
-    after ``max_iter`` steps.  On CR, a solve without a step makes one
-    linear solve for the report's stress."""
+    ``H = problem.hessian(u, floor)``, and the stress of the linear problem
+    that ``delta`` solves is ``Dphi(grad u) + T grad delta``, with ``T`` the
+    same :func:`_floored_hessian` tensor.  Every ``delta`` is a direct solve
+    of one :class:`_SpdSolver`, which keeps its ordering while the pattern
+    of ``H`` stays; ``t`` comes from :func:`_line_search`.  The solve ends
+    with ``reason`` once ``stop(state)`` holds before a step, or after
+    ``max_iter`` steps.  On CR, a solve without a step makes one linear
+    solve for the report's stress."""
     u = problem.initial_state() if u0 is None else problem.impose_dirichlet(u0)
     free = problem.free_mask
     grad = problem.gradient(u)
     state = _Descent(u, [float(np.linalg.norm(grad[free]))],
                      [problem.energy(u)])
     solver = _SpdSolver()
+
+    def stress(u, step):
+        delta = np.zeros(problem.num_dofs)
+        delta[free] = step
+        grads = problem.broken_gradient(u)
+        return problem.density.dphi(grads) + np.einsum(
+            "tde,te->td", _floored_hessian(problem.density, grads, floor),
+            problem.broken_gradient(delta))
+
     while not (met := stop(state)) and len(state.energies) <= max_iter:
-        A, stress = linearize(state.u)
         residual = grad[free]
-        step = solver.solve(A, -residual)
-        state.stress = partial(stress, step)
+        step = solver.solve(problem.hessian(state.u, floor), -residual)
+        state.stress = partial(stress, state.u, step)
         slope = float(residual @ step)
         if slope >= 0:  # not a descent direction; fall back to steepest descent
             step = -residual
@@ -354,8 +377,8 @@ def _descend(problem: DiscreteProblem, u0, method: str, linearize, stop,
         state.norms.append(float(np.linalg.norm(grad[free])))
         state.energies.append(energy)
     if problem.space == "cr" and state.stress is None:
-        A, stress = linearize(state.u)
-        state.stress = partial(stress, solver.solve(A, -grad[free]))
+        step = solver.solve(problem.hessian(state.u, floor), -grad[free])
+        state.stress = partial(stress, state.u, step)
     report = SolverReport(
         method=method, converged=bool(met),
         iterations=len(state.energies) - 1, energy=state.energies[-1],
@@ -452,34 +475,26 @@ def _line_search(problem: DiscreteProblem, u: np.ndarray, step: np.ndarray,
 
 def newton_solve(problem: DiscreteProblem, u0=None, tol_abs: float = 1e-8,
                  tol_rel: float = 1e-10, max_iter: int = 60) -> tuple[np.ndarray, SolverReport]:
-    """Newton iteration: :func:`_descend` with the Hessian for ``A``.
+    """Newton iteration: :func:`_descend` with floor 0, the Hessian.
 
     Stops once the free-residual norm drops below ``tol_abs`` or below
     ``tol_rel`` times its initial value, so a start at the exact solution
     takes no step.  On the CR space the report's ``stress`` is that of the
     last Newton system: ``Dphi(grad u) + D2phi(grad u) grad delta``.
     """
-    free = problem.free_mask
-
-    def linearize(u):
-        def stress(step):
-            delta = np.zeros(problem.num_dofs)
-            delta[free] = step
-            grads = problem.broken_gradient(u)
-            return problem.density.dphi(grads) + np.einsum(
-                "tde,te->td", problem.density.d2phi(grads),
-                problem.broken_gradient(delta))
-        return problem.hessian(u), stress
-
     def stop(state):
         return state.norms[-1] <= max(tol_abs, tol_rel * state.norms[0])
 
-    return _descend(problem, u0, "newton", linearize, stop,
+    return _descend(problem, u0, "newton", 0.0, stop,
                     "residual below tolerance", max_iter)
 
 
-#: Stop factor of the Kacanov solve: against the estimate on CR, against
-#: the gap to the level's dual value that is left on P1.
+#: Floor of the flow's Hessian (see :func:`_floored_hessian`), chosen by
+#: the CR step count of the design-flow benchmark workload.
+FLOOR = 0.1
+
+#: Stop factor of the flow solve: against the estimate on CR, against the
+#: gap to the level's dual value that is left on P1.
 GAMMA = 0.01
 
 
@@ -488,20 +503,16 @@ def gradient_flow_solve(problem: DiscreteProblem, u0=None, tau: float = 1.0,
                         vertex_dirichlet: np.ndarray | None = None,
                         dual: float | None = None,
                         ) -> tuple[np.ndarray, SolverReport]:
-    """Kacanov iteration, the tau -> infinity limit of the gradient flow.
+    """Floored Newton iteration with a gap stop rule.
 
-    :func:`_descend` with ``A = K(a_n)``, the stiffness matrix weighted by
-    the secant slopes ``a_n = psi'(|grad u^n|)/|grad u^n|``, each step one
-    direct solve, as Newton's.  Since ``Dphi(a) = (psi'(|a|)/|a|) a``,
-    ``u^n + delta`` solves ``K(a_n) v = b`` (load ``b``, Dirichlet values
-    eliminated) up to roundoff and the p-power ``slope_ratio``'s
-    regularization.  When ``psi'(t)/t`` is nonincreasing (optimal design,
-    p <= 2) that step passes the line search's Armijo test: it lowers the
-    energy by at least ``|DI(u^n) . delta| / 2``.  ``tau`` is accepted and
-    ignored: ``pdbench/workloads.py`` passes it.
+    :func:`_descend` with floor :data:`FLOOR`: each step solves
+    ``hessian(u, FLOOR) delta = -DI(u)``, which is SPD also where the
+    optimal-design Hessian is singular, and the line search keeps the
+    energy monotone.  ``tau`` is accepted and ignored:
+    ``pdbench/workloads.py`` passes it.
 
-    On the CR space the step's stress ``a_n grad(u^n + delta)`` is a linear
-    CR solution's, so its flux ``z`` is in RT0 with ``div z = -f_h``
+    On the CR space the step's stress ``Dphi(grad u^n) + T grad delta`` is a
+    linear CR solution's, so its flux ``z`` is in RT0 with ``div z = -f_h``
     (Marini's identity), and the discrete gap ``eta_lin = I_h(u^{n+1}) -
     D_h(z)`` (``D_h``: the ``quadrature="mean"`` dual energy) bounds
     ``I_h(u^{n+1}) - min I_h``.  The solve stops once ``eta_lin <= GAMMA
@@ -519,17 +530,6 @@ def gradient_flow_solve(problem: DiscreteProblem, u0=None, tau: float = 1.0,
     """
     if problem.space == "p1" and dual is None:
         raise ValueError("a P1 flow solve needs the level's dual value")
-    free = problem.free_mask
-
-    def linearize(u):
-        slopes = problem.density.slope_ratio(
-            np.sqrt(np.sum(problem.broken_gradient(u) ** 2, axis=-1)))
-
-        def stress(step):
-            v = u.copy()
-            v[free] += step
-            return slopes[:, None] * problem.broken_gradient(v)
-        return problem.weighted_stiffness(slopes), stress
 
     def gap_stop(state):
         return state.stress is not None and _gap_below_tolerance(
@@ -543,16 +543,16 @@ def gradient_flow_solve(problem: DiscreteProblem, u0=None, tau: float = 1.0,
             + 1e-12 * (abs(energies[-1]) + abs(dual)))
 
     if problem.space == "cr":
-        return _descend(problem, u0, "flow", linearize, gap_stop,
+        return _descend(problem, u0, "flow", FLOOR, gap_stop,
                         "discrete gap below tolerance", max_iter)
-    return _descend(problem, u0, "flow", linearize, decrease_stop,
+    return _descend(problem, u0, "flow", FLOOR, decrease_stop,
                     "energy decrease below tolerance", max_iter)
 
 
 def _gap_below_tolerance(problem: DiscreteProblem, u: np.ndarray,
                          stress: np.ndarray, energy: float,
                          vertex_dirichlet: np.ndarray | None) -> bool:
-    """The stop test ``eta_lin <= GAMMA eta_bar^2`` of the CR Kacanov solve
+    """The stop test ``eta_lin <= GAMMA eta_bar^2`` of the CR flow solve
     (see :func:`gradient_flow_solve`); ``energy`` is ``I_h(u)``.  Its
     roundoff allowance ``1e-12 (|I_h| + |D_h|)`` lets an exactly solved
     level stop; a flux that fails the feasibility test never stops it."""

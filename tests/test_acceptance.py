@@ -107,7 +107,7 @@ def power_runs():
 @pytest.fixture(scope="module")
 def design_run():
     """20-iteration adaptive optimal-design run driven by the flow solver
-    (the Kacanov iteration).
+    (the floored Newton iteration).
 
     ``max_iter`` only raises the per-level iteration cap; the stop rules
     keep their defaults (the discrete-gap rule on CR; on P1, a step that

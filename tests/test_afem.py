@@ -192,7 +192,7 @@ def test_average_mode_and_interior_node_run():
 
 
 def test_flow_solver_keeps_weak_duality():
-    # both Kacanov solves stop early, on their gap rules, yet the
+    # both flow solves stop early, on their gap rules, yet the
     # reconstruction stays feasible, so the gap must remain nonnegative
     problem = AfemProblem(mesh=make_lshape_mesh(),
                           density=OptimalDesignDensity(1.0, 2.0, 0.0145),
@@ -233,7 +233,7 @@ def test_flow_study_energies_fall_and_bracket_holds():
 
 
 def test_flow_level_without_free_vertices_runs():
-    # the two-triangle square has no interior vertex, so the P1 Kacanov
+    # the two-triangle square has no interior vertex, so the P1 flow
     # steps solve empty systems
     problem = AfemProblem(mesh=make_square_mesh(1),
                           density=OptimalDesignDensity(), load=1.0)

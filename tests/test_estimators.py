@@ -100,7 +100,7 @@ def test_breakdown_invariants_random_pairs():
         prob = DiscreteProblem(mesh, density, f_h, space="cr")
         for _ in range(5):
             u_cr = CrFunction(mesh, rng.normal(size=mesh.num_sides))
-            # one Kacanov step from a random state: feasible, far from optimal
+            # one flow step from a random state: feasible, far from optimal
             _, rep = gradient_flow_solve(prob, u0=u_cr.values, max_iter=1)
             z = marini_reconstruct(u_cr, density, f_h, stress=rep.stress)
             u_tilde = P1Function(mesh, rng.normal(size=mesh.num_vertices))

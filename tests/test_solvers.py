@@ -11,8 +11,8 @@ import pdgap.afem as afem
 import pdgap.solvers as solvers
 from pdgap.energy_models import OptimalDesignDensity, PPowerDensity
 from pdgap.afem import conforming_candidate
-from pdgap.estimators import (GapIndicators, _feasible, dual_energy,
-                              eta_hat_sq, primal_energy)
+from pdgap.estimators import (_feasible, dual_energy, eta_hat_sq,
+                              primal_energy)
 from pdgap.fespaces import PwConstant, node_average
 from pdgap.mesh import Triangulation, make_lshape_mesh, refine, uniform_refine
 from pdgap.quadrature import RULE_ORDER4, integrate
@@ -226,17 +226,34 @@ def test_newton_orders_once_per_solve(splu_calls):
 
 
 @pytest.mark.parametrize("space", ["cr", "p1"])
-def test_kacanov_orders_once_per_solve(splu_calls, space):
-    # every Kacanov step is one direct solve on the solve's one ordering:
-    # the secant weights change the stiffness values, not its pattern
-    mesh = uniform_refine(make_lshape_mesh(), 2)
+def test_flow_orders_again_when_the_pattern_changes(monkeypatch, splu_calls,
+                                                    space):
+    # an element on a quadratic branch has an isotropic floored Hessian, so
+    # its couplings across right angles vanish and are not stored; as
+    # elements cross t1 or t2 the pattern changes, and the solver makes a
+    # fresh minimum-degree ordering exactly then
+    patterns = []
+    hessian = DiscreteProblem.hessian
+
+    def spy(self, u, floor=0.0):
+        H = hessian(self, u, floor)
+        patterns.append((H.indptr.copy(), H.indices.copy()))
+        return H
+
+    monkeypatch.setattr(DiscreteProblem, "hessian", spy)
+    monkeypatch.setattr(solvers, "GAMMA", 0.0)  # the CR gap stop never holds
+    mesh = uniform_refine(make_lshape_mesh(), 1)
     f_h = PwConstant(mesh, np.ones(mesh.num_triangles))
     prob = DiscreteProblem(mesh, OptimalDesignDensity(), f_h, space=space)
     # an infinite dual value never stops the P1 solve; CR ignores it
-    _, rep = gradient_flow_solve(prob, max_iter=8, dual=-np.inf)
-    assert rep.iterations > 2
-    orderings = [ordering for ordering, _ in splu_calls]
-    assert orderings == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (rep.iterations - 1)
+    _, rep = gradient_flow_solve(prob, max_iter=12, dual=-np.inf)
+    assert rep.iterations == 12 == len(patterns)
+    fresh = [ordering == "MMD_AT_PLUS_A" for ordering, _ in splu_calls]
+    changed = [True] + [not (np.array_equal(a[0], b[0])
+                             and np.array_equal(a[1], b[1]))
+                        for a, b in zip(patterns, patterns[1:])]
+    assert fresh == changed
+    assert any(changed[1:]) and not all(changed)  # both cases occur
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +313,7 @@ def test_assemble_free_bit_identical_to_coo_reference(space):
 
 @pytest.mark.parametrize("space", ["cr", "p1"])
 def test_weighted_stiffness_is_csc_without_stored_zeros(space):
-    # the Kacanov step hands its matrix to SuperLU as assembled
+    # the weighted stiffness is assembled as the Hessian is
     mesh = _corner_refined_lshape()
     rng = np.random.default_rng(23)
     prob = DiscreteProblem(mesh, OptimalDesignDensity(),
@@ -315,10 +332,54 @@ def test_weighted_stiffness_is_csc_without_stored_zeros(space):
     assert np.array_equal(A.data, ref.data)
 
 
+def test_floored_hessian_lifts_only_the_plateau_curvature():
+    design = OptimalDesignDensity()
+    rng = np.random.default_rng(37)
+
+    def gradients(radii):
+        angles = rng.uniform(0.0, 2.0 * np.pi, size=radii.size)
+        return radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], 1)
+
+    t1, t2 = design.t1, design.t2
+    off = gradients(np.concatenate([[0.0, t1, 2.0 * t2], rng.uniform(
+        0.0, t1, 20), rng.uniform(t2 * (1 + 1e-12), 3.0 * t2, 20)]))
+    on = gradients(np.concatenate([[t2], rng.uniform(t1 * (1 + 1e-12), t2,
+                                                     40)]))
+    anywhere = np.concatenate([off, on])
+    floored = solvers._floored_hessian
+    # the density's own Hessian, bit for bit: at floor 0, off the plateau
+    # and at p = 2, where the Hessian is the secant slope times I
+    for density in (design, PPowerDensity(1.4), PPowerDensity(2.0)):
+        assert np.array_equal(floored(density, anywhere, 0.0),
+                              density.d2phi(anywhere))
+    assert np.array_equal(floored(design, off, solvers.FLOOR),
+                          design.d2phi(off))
+    p2 = PPowerDensity(2.0)
+    assert np.array_equal(floored(p2, anywhere, solvers.FLOOR),
+                          p2.d2phi(anywhere))
+    # on the plateau psi'(t)/t = mu2 t1 / t: the radial curvature 0 becomes
+    # FLOOR times it, the tangential one stays
+    tensor = floored(design, on, solvers.FLOOR)
+    t = np.hypot(on[:, 0], on[:, 1])
+    secant = design.mu2 * t1 / t
+    radial = on / t[:, None]
+    tangential = np.stack([-radial[:, 1], radial[:, 0]], axis=1)
+
+    def form(x, y):
+        return np.einsum("td,tde,te->t", x, tensor, y)
+
+    assert np.allclose(form(radial, radial), solvers.FLOOR * secant,
+                       rtol=1e-12, atol=0.0)
+    assert np.allclose(form(tangential, tangential), secant,
+                       rtol=1e-12, atol=0.0)
+    assert np.all(np.abs(form(radial, tangential)) <= 1e-12 * secant)
+
+
 @pytest.mark.parametrize("space", ["cr", "p1"])
-def test_kacanov_step_matches_dirichlet_reference_solve(space):
-    # one Kacanov step from a random start solves the secant-weighted
-    # system K_ff u = b_f - K_fc g, with the Dirichlet values g eliminated
+def test_flow_step_is_the_floored_hessian_solve(monkeypatch, space):
+    # one flow step from a random start moves along the direct solve of
+    # H delta = -DI(u0), H the free-dof matrix of D + FLOOR (psi'/t I - D),
+    # with the Dirichlet values kept
     mesh = _corner_refined_lshape()
     rng = np.random.default_rng(29)
     num_dofs = mesh.num_sides if space == "cr" else mesh.num_vertices
@@ -328,26 +389,25 @@ def test_kacanov_step_matches_dirichlet_reference_solve(space):
                            dirichlet=rng.normal(size=num_dofs))
     u0 = prob.impose_dirichlet(0.1 * rng.normal(size=num_dofs))
     never_stop = {} if space == "cr" else {"dual": -np.inf}
+    calls = _spy_line_search(monkeypatch)
     u, rep = gradient_flow_solve(prob, u0=u0, max_iter=1, **never_stop)
+    [(t, *_)] = calls
     assert rep.iterations == 1
     grads = np.einsum("tj,tjd->td", u0[prob.dof_map], prob.basis_grads)
-    weights = density.slope_ratio(np.sqrt(np.sum(grads ** 2, axis=-1)))
-    local = (mesh.areas * weights)[:, None, None] * np.einsum(
-        "tid,tjd->tij", prob.basis_grads, prob.basis_grads)
-    rows = np.repeat(prob.dof_map, 3, axis=1).ravel()
-    cols = np.tile(prob.dof_map, (1, 3)).ravel()
-    K = sp.csr_matrix((local.ravel(), (rows, cols)),
-                      shape=(num_dofs, num_dofs))
-    b = np.zeros(num_dofs)
-    np.add.at(b, prob.dof_map.ravel(),
-              np.repeat(mesh.areas * f_h.values / 3.0, 3))
+    norms = np.sqrt(np.sum(grads ** 2, axis=-1))
+    plateau = (norms > density.t1) & (norms <= density.t2)
+    assert 0 < plateau.sum() < mesh.num_triangles  # both kinds of element
+    hess = density.d2phi(grads)
+    tensor = hess + solvers.FLOOR * (
+        density.slope_ratio(norms)[:, None, None] * np.eye(2) - hess)
+    B = prob.basis_grads
+    H = _coo_reference(prob, mesh.areas[:, None, None]
+                       * np.einsum("tid,tde,tje->tij", B, tensor, B))
     free, fixed = prob.free_mask, prob.fixed_mask
-    g = prob.dirichlet_values[fixed]
-    ref = prob.initial_state()
-    ref[free] = spla.spsolve(sp.csc_matrix(K[free][:, free]),
-                             b[free] - K[free][:, fixed] @ g)
-    assert np.array_equal(u[fixed], g)
-    assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
+    delta = spla.spsolve(H, -prob.gradient(u0)[free])
+    assert np.array_equal(u[fixed], prob.dirichlet_values[fixed])
+    assert np.linalg.norm(u[free] - u0[free] - t * delta) \
+        <= 1e-12 * np.linalg.norm(t * delta)
 
 
 def test_energy_of_linear_interpolant():
@@ -478,25 +538,33 @@ def _spy_line_search(monkeypatch):
 
 
 def test_newton_line_search_meets_armijo_and_curvature(monkeypatch):
-    prob = _lshape_problem(p=1.2, level=1)
+    # Newton at p = 1.2, and the floored Newton step of the design flow
     u0, _ = newton_solve(_lshape_problem(p=2.0, level=1), tol_abs=1e-12)
+    mesh = uniform_refine(make_lshape_mesh(), 1)
+    design = DiscreteProblem(mesh, OptimalDesignDensity(),
+                             PwConstant(mesh, np.ones(mesh.num_triangles)))
     calls = _spy_line_search(monkeypatch)
-    u, rep = newton_solve(prob, u0=u0, tol_abs=1e-6, tol_rel=0.0)
-    assert rep.converged and len(calls) == rep.iterations
-    assert any(t < 1 for t, *_ in calls)  # the search itself is exercised
-    decided = []  # whether Armijo can decide the step in floating point
-    for t, slope, energy0, energy, g, norm0, norm in calls:
-        assert slope < 0 and 0 < t <= 1
-        target = energy0 + 1e-4 * t * slope
-        decided.append(target < energy0)
-        if decided[-1]:
-            assert energy <= target  # Armijo
-        else:  # the documented roundoff branch: the residual must fall
-            assert norm < norm0
-        if t < 1:
-            assert abs(g) <= solvers.C2 * abs(slope)  # strong Wolfe
-    assert any(decided)
-    assert np.all(np.diff(rep.energies)[decided] <= 0)
+    for solve, prob, options in (
+            (newton_solve, _lshape_problem(p=1.2, level=1),
+             dict(u0=u0, tol_abs=1e-6, tol_rel=0.0)),
+            (gradient_flow_solve, design, {})):
+        calls.clear()
+        u, rep = solve(prob, **options)
+        assert rep.converged and len(calls) == rep.iterations
+        assert any(t < 1 for t, *_ in calls)  # the search itself is exercised
+        decided = []  # whether Armijo can decide the step in floating point
+        for t, slope, energy0, energy, g, norm0, norm in calls:
+            assert slope < 0 and 0 < t <= 1
+            target = energy0 + 1e-4 * t * slope
+            decided.append(target < energy0)
+            if decided[-1]:
+                assert energy <= target  # Armijo
+            else:  # the documented roundoff branch: the residual must fall
+                assert norm < norm0
+            if t < 1:
+                assert abs(g) <= solvers.C2 * abs(slope)  # strong Wolfe
+        assert any(decided)
+        assert np.all(np.diff(rep.energies)[decided] <= 0)
 
 
 #: Newton iterations of the test below when each step halved ``t`` until
@@ -545,7 +613,7 @@ def test_limit_returns_last_iterate(monkeypatch, solver):
 
 @pytest.mark.parametrize("solver, steps", [("newton", 0), ("flow", 1)])
 def test_restart_at_the_solution(solver, steps):
-    # Newton's residual test passes at the start; the Kacanov stop rules
+    # Newton's residual test passes at the start; the flow's stop rules
     # judge a step, so it takes one, against the gradient of a minimizer
     prob = _lshape_problem(p=2.0)
     u, _ = solve_problem(prob, solver=solver)
@@ -579,7 +647,7 @@ def test_cr_minimum_below_p1_minimum():
 def test_inhomogeneous_dirichlet_affine_reproduction(monkeypatch):
     # boundary data from an affine function, zero load: the affine function
     # itself is the minimizer in both spaces, for any density, and the fixed
-    # point of the Kacanov step (run here for a fixed number of steps)
+    # point of the flow step (run here for a fixed number of steps)
     monkeypatch.setattr(solvers, "_gap_below_tolerance", lambda *a: False)
     mesh = make_lshape_mesh()
     f_h = PwConstant(mesh, np.zeros(mesh.num_triangles))
@@ -606,7 +674,7 @@ def test_inhomogeneous_dirichlet_affine_reproduction(monkeypatch):
 def test_flow_matches_direct_solve_for_quadratic():
     prob = _lshape_problem(p=2.0)
     u_direct, _ = newton_solve(prob)
-    # at p = 2 the secant slopes are 1: the first step is the linear solve
+    # at p = 2 the floored Hessian is the Hessian: one step is the solve
     u_flow, rep = gradient_flow_solve(prob)
     assert rep.converged and rep.iterations == 1
     assert rep.stop_reason == "discrete gap below tolerance"
@@ -624,7 +692,7 @@ def test_flow_energy_monotone_and_stops():
 
 
 def test_p1_kacanov_stops_when_a_step_barely_lowers_the_gap(monkeypatch):
-    # a once-refined design level with homogeneous data: the CR Kacanov
+    # a once-refined design level with homogeneous data: the CR flow's
     # flux and its discrete dual value (no boundary pairing)
     mesh = uniform_refine(make_lshape_mesh(), 1)
     f_h = PwConstant(mesh, np.ones(mesh.num_triangles))
@@ -660,21 +728,6 @@ def test_p1_kacanov_stops_when_a_step_barely_lowers_the_gap(monkeypatch):
         solver_options={"max_iter": rep.iterations - 1})
     assert not rep_short.converged
     assert rep_short.stop_reason == "iteration limit reached"
-
-
-def test_kacanov_steps_keep_the_full_step(monkeypatch):
-    # the shared line search keeps t = 1 unless the step overshoots the
-    # minimum along it, which no Kacanov step of this design run does; so
-    # the flow's iterates are the Kacanov iterates
-    calls = _spy_line_search(monkeypatch)
-    problem = afem.AfemProblem(
-        mesh=make_lshape_mesh(),
-        density=OptimalDesignDensity(1.0, 2.0, 0.0145), load=1.0)
-    trace = afem.afem_run(problem, afem.AfemConfig(
-        max_iterations=3, solver="flow", solver_options={"max_iter": 3000}))
-    assert not trace.failed and len(trace.records) == 3
-    assert len(calls) > 10
-    assert all(t == 1.0 for t, *_ in calls)
 
 
 def test_p1_flow_needs_a_stop_rule():
@@ -734,17 +787,27 @@ def test_kacanov_stops_on_guaranteed_discrete_gap(monkeypatch):
 
 
 def test_infeasible_flux_never_stops_the_kacanov_solve(monkeypatch):
-    # both sides of the stop rule are +inf for a flux that fails the
-    # feasibility test; the solve must not read that as converged
+    # the flux of a stress that solves no linear CR problem fails the
+    # feasibility test, so its dual value is -inf; the solve must not read
+    # that as converged
     mesh = make_lshape_mesh()
     f_h = PwConstant(mesh, np.ones(mesh.num_triangles))
     prob = DiscreteProblem(mesh, OptimalDesignDensity(), f_h, space="cr")
-    monkeypatch.setattr(solvers, "dual_energy", lambda *a, **k: -np.inf)
-    monkeypatch.setattr(solvers, "_guaranteed_parts",
-                        lambda *a: GapIndicators(np.array([np.inf]),
-                                                 np.array([np.inf])))
+    reconstruct, dual_value, duals = solvers.marini_reconstruct, \
+        solvers.dual_energy, []
+
+    def scaled_stress(u, density, load, stress):
+        return reconstruct(u, density, load, stress=1.5 * stress)
+
+    def record(*args, **kwargs):
+        duals.append(dual_value(*args, **kwargs))
+        return duals[-1]
+
+    monkeypatch.setattr(solvers, "marini_reconstruct", scaled_stress)
+    monkeypatch.setattr(solvers, "dual_energy", record)
     _, rep = gradient_flow_solve(prob, max_iter=5)
     assert not rep.converged and rep.iterations == 5
+    assert duals == [-np.inf] * 5  # one stop test after every step
 
 
 @pytest.mark.parametrize("solver", ["newton", "flow"])

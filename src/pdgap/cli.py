@@ -131,13 +131,14 @@ class BenchmarkSpec:
     def __post_init__(self):
         if self.problem not in ("p-dirichlet", "optimal-design"):
             raise ValueError(f"unknown problem {self.problem!r}")
-        if self.problem == "p-dirichlet" and self.p <= 1.0:
-            raise ValueError("the exponent must satisfy p > 1")
-        if self.problem == "optimal-design":
-            if not 0.0 < self.mu1 < self.mu2:
-                raise ValueError("need 0 < mu1 < mu2")
-            if self.lam <= 0.0:
-                raise ValueError("the length-scale weight must be positive")
+        self._density()  # the density validates the model parameters
+        if self.mesh is not None and not self.mesh.dirichlet_side_mask.any():
+            raise ValueError("the mesh has no Dirichlet side")
+
+    def _density(self):
+        if self.problem == "p-dirichlet":
+            return PPowerDensity(self.p)
+        return OptimalDesignDensity(self.mu1, self.mu2, self.lam)
 
     def initial_mesh(self) -> Triangulation:
         return self.mesh if self.mesh is not None else make_lshape_mesh()
@@ -146,13 +147,13 @@ class BenchmarkSpec:
         if self.problem == "p-dirichlet":
             exact = exact_solution_pdirichlet(self.p)
             return AfemProblem(
-                mesh=self.initial_mesh(), density=PPowerDensity(self.p),
+                mesh=self.initial_mesh(), density=self._density(),
                 load=exact.load, dirichlet=exact.value,
                 exact_gradient=exact.gradient,
                 label=f"p-dirichlet p={self.p:g}")
         return AfemProblem(
             mesh=self.initial_mesh(),
-            density=OptimalDesignDensity(self.mu1, self.mu2, self.lam),
+            density=self._density(),
             load=1.0,
             label=(f"optimal-design mu1={self.mu1:g} mu2={self.mu2:g} "
                    f"lambda={self.lam:g}"))

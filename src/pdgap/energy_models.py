@@ -10,9 +10,11 @@ Two radial densities ``phi(a) = psi(|a|)`` are provided:
   plateau ``[t1, t2]``, and grows with slope ``mu1 < mu2`` beyond it.
 
 All vector operations accept arrays of shape ``(..., 2)`` and are fully
-vectorized.  ``slope_ratio`` returns ``psi'(t)/t``, the secant slope with
-``Dphi(a) = (psi'(|a|)/|a|) a``; the flow solver floors the Hessian with
-it.
+vectorized.  ``slope_ratio`` returns ``s = psi'(t)/t``, with ``Dphi(a) =
+s a``; ``d2phi(a, floor)`` is the Hessian at ``floor = 0`` and is floored
+towards ``s I`` by :func:`_radial_hessian` for the flow solver.
+:func:`check_fenchel_young` is the one Fenchel-Young defect; the
+estimators and the optimality check read it.
 
 The load term ``v -> -int f_h v`` needs no class: its conjugate is the
 indicator of the constraint ``div z + f_h = 0``, which
@@ -46,12 +48,28 @@ def _safe_radial(rad_of_norm: np.ndarray, a: np.ndarray, r: np.ndarray) -> np.nd
     return factor[..., None] * a
 
 
+def _radial_hessian(a: np.ndarray, s, c, floor: float) -> np.ndarray:
+    """``s I + (1 - floor) c a a^T``, that is ``D + floor (s I - D)`` for the
+    radial Hessian ``D = s I + c a a^T`` with ``s = psi'(|a|)/|a|``.  The
+    tangential eigenvalue ``s`` stays; the radial one, ``psi''``, moves to
+    ``s`` as ``floor`` goes to 1, so for ``floor > 0`` the tensor is SPD also
+    where ``psi'' = 0``: Newton's method with a Hessian modification
+    (Nocedal and Wright, Numerical Optimization, 2006, Sec. 3.4)."""
+    a0, a1 = a[..., 0], a[..., 1]
+    c = (1.0 - floor) * c  # bit for bit c at floor 0
+    out = np.empty(a.shape + (2,))
+    out[..., 0, 0] = s + c * a0 ** 2
+    out[..., 0, 1] = out[..., 1, 0] = c * a0 * a1
+    out[..., 1, 1] = s + c * a1 ** 2
+    return out
+
+
 class PPowerDensity:
     """``phi(a) = |a|^p / p`` with conjugate ``phi*(b) = |b|^q / q``."""
 
     def __init__(self, p: float):
-        if not p > 1.0:
-            raise ValueError("exponent p must exceed 1")
+        if not 1.0 < p < np.inf:  # rejects NaN too
+            raise ValueError("the exponent must be finite with p > 1")
         self.p = float(p)
         self.q = self.p / (self.p - 1.0)
         # phi has a Lipschitz gradient (modulus 1) only in the quadratic case
@@ -65,20 +83,15 @@ class PPowerDensity:
         r = _norm(a)
         return _safe_radial(r ** (self.p - 1.0), a, r)
 
-    def d2phi(self, a) -> np.ndarray:
-        """Regularized Hessian ``s^(p-2) I + (p-2) s^(p-4) a a^T`` with
-        ``s = sqrt(|a|^2 + kappa^2)``; symmetric positive definite."""
+    def d2phi(self, a, floor: float = 0.0) -> np.ndarray:
+        """Regularized Hessian ``r^(p-2) I + (p-2) r^(p-4) a a^T`` with
+        ``r = sqrt(|a|^2 + kappa^2)``, floored by :func:`_radial_hessian`;
+        symmetric positive definite."""
         a = np.asarray(a, dtype=float)
-        a0, a1 = a[..., 0], a[..., 1]
-        s2 = a0 ** 2 + a1 ** 2 + KAPPA ** 2
-        diag = s2 ** (0.5 * self.p - 1.0)
-        # (p - 2) s^(p-4), exactly zero at p = 2, so that D2phi is exactly I
-        rank_one = (self.p - 2.0) * diag / s2
-        out = np.empty(a.shape + (2,))
-        out[..., 0, 0] = diag + rank_one * a0 ** 2
-        out[..., 0, 1] = out[..., 1, 0] = rank_one * a0 * a1
-        out[..., 1, 1] = diag + rank_one * a1 ** 2
-        return out
+        r2 = a[..., 0] ** 2 + a[..., 1] ** 2 + KAPPA ** 2
+        diag = r2 ** (0.5 * self.p - 1.0)
+        # (p - 2) r^(p-4), exactly zero at p = 2, so that D2phi is exactly I
+        return _radial_hessian(a, diag, (self.p - 2.0) * diag / r2, floor)
 
     def phi_star(self, b) -> np.ndarray:
         return _norm(b) ** self.q / self.q
@@ -102,10 +115,10 @@ class OptimalDesignDensity:
     """
 
     def __init__(self, mu1: float = 1.0, mu2: float = 2.0, lam: float = 0.0145):
-        if not 0 < mu1 < mu2:
-            raise ValueError("need 0 < mu1 < mu2")
-        if lam <= 0:
-            raise ValueError("need lam > 0")
+        if not 0 < mu1 < mu2 < np.inf:  # rejects NaN too
+            raise ValueError("need finite 0 < mu1 < mu2")
+        if not 0 < lam < np.inf:
+            raise ValueError("need a finite length-scale weight lam > 0")
         self.mu1, self.mu2, self.lam = float(mu1), float(mu2), float(lam)
         self.t1 = np.sqrt(2.0 * lam * mu1 / mu2)
         self.t2 = self.mu2 * self.t1 / self.mu1
@@ -137,23 +150,16 @@ class OptimalDesignDensity:
         a = np.asarray(a, dtype=float)
         return self.slope_ratio(_norm(a))[..., None] * a
 
-    def d2phi(self, a) -> np.ndarray:
-        """Piecewise Hessian: ``mu I`` on the quadratic branches and a
-        rank-one-deficient tangential Hessian on the plateau."""
+    def d2phi(self, a, floor: float = 0.0) -> np.ndarray:
+        """Piecewise Hessian, floored by :func:`_radial_hessian`: ``mu I`` on
+        the quadratic branches and the tangential ``s (I - a a^T / |a|^2)``
+        on the plateau, where ``psi'' = 0``."""
         a = np.asarray(a, dtype=float)
         r = _norm(a)
-        mu = self.slope_ratio(r)
-        eye = np.eye(2)
-        hess = mu[..., None, None] * eye
+        s = self.slope_ratio(r)
         plateau = (r > self.t1) & (r <= self.t2)
-        if np.any(plateau):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                inv_r2 = np.where(r > 0, 1.0 / np.maximum(r, KAPPA) ** 2, 0.0)
-            outer = a[..., :, None] * a[..., None, :]
-            hess = hess - np.where(plateau[..., None, None],
-                                   mu[..., None, None] * inv_r2[..., None, None]
-                                   * outer, 0.0)
-        return hess
+        c = np.where(plateau, -s / np.maximum(r, KAPPA) ** 2, 0.0)
+        return _radial_hessian(a, s, c, floor)
 
     def phi_star(self, b) -> np.ndarray:
         return self.psi_star(_norm(b))
@@ -175,8 +181,9 @@ def fmap(p: float, a) -> np.ndarray:
 
 
 def check_fenchel_young(density, a, b) -> np.ndarray:
-    """Pointwise defect ``phi(a) + phi*(b) - a . b`` (nonnegative, and zero
+    """Pointwise defect ``phi(a) - a . b + phi*(b)`` (nonnegative, and zero
     exactly when ``b`` is a subgradient of ``phi`` at ``a``)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return density.phi(a) + density.phi_star(b) - np.sum(a * b, axis=-1)
+    return (density.phi(a) - np.einsum("...d,...d->...", a, b)
+            + density.phi_star(b))

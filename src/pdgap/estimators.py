@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .energy_models import fmap
+from .energy_models import check_fenchel_young, fmap
 from .fespaces import CrFunction, P1Function, PwConstant, Rt0Field
 from .mesh import NEUMANN
 from .quadrature import RULE_ORDER4, TriangleRule, integrate
@@ -187,15 +187,13 @@ def _guaranteed_parts(u_tilde: P1Function, z: Rt0Field,
     mesh = u_tilde.mesh
     grads = u_tilde.gradients()
     means = z.element_means()
-    conj_mean = density.phi_star(means)
     # Fenchel-Young residual of (grad u, mean z); >= 0, clipped for roundoff
     eta_A = mesh.areas * np.maximum(
-        density.phi(grads) - np.einsum("td,td->t", grads, means) + conj_mean,
-        0.0)
+        check_fenchel_young(density, grads, means), 0.0)
     # conjugate quadrature deficit: integral of phi*(z) minus its value at
     # the element mean (Jensen gives >= 0; vertex rule bounds the integral)
-    eta_D_hat = np.maximum(
-        mesh.areas * (_vertex_rule_conjugate(z, density) - conj_mean), 0.0)
+    eta_D_hat = np.maximum(mesh.areas * (_vertex_rule_conjugate(z, density)
+                                         - density.phi_star(means)), 0.0)
     return GapIndicators(eta_A, eta_D_hat)
 
 

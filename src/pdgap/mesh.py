@@ -99,6 +99,9 @@ class Triangulation:
         if self.triangles.size and (self.triangles.min() < 0
                                     or self.triangles.max() >= len(self.vertices)):
             raise MeshError("triangle vertex index out of range")
+        used = np.bincount(self.triangles.ravel(), minlength=len(self.vertices))
+        if not used.all():  # it would carry a zero row in every P1 system
+            raise MeshError(f"vertex {int(np.argmin(used))} is in no triangle")
 
         coords = self.vertices[self.triangles]
         e1 = coords[:, 1] - coords[:, 0]

@@ -8,11 +8,12 @@ over the Crouzeix-Raviart space (``space="cr"``, one unknown per side
 midpoint) or the conforming P1 space (``space="p1"``, one unknown per
 vertex), with Dirichlet values eliminated.  Both solvers run one descent
 loop with one linearisation and one step-length rule: ``u <- u + t delta``
-with ``H_floor(u) delta = -DI(u)`` on the free unknowns (see
-:meth:`DiscreteProblem.hessian`), and ``t`` from a line search to the
-energy's minimum along ``delta`` (a regula falsi on the directional
-derivative until the strong Wolfe curvature condition holds, accepted
-under Armijo).  They differ in the floor and the stop rule:
+with ``H_floor(u) delta = -DI(u)`` on the free unknowns (the density's
+``d2phi(grad u, floor)`` assembled by :meth:`DiscreteProblem.hessian`),
+and ``t`` from a line search to the energy's minimum along ``delta`` (a
+regula falsi on the directional derivative until the strong Wolfe
+curvature condition holds, accepted under Armijo).  They differ in the
+floor and the stop rule:
 
 * :func:`newton_solve` -- floor 0, the density's (possibly regularized)
   Hessian, stopped on the residual;
@@ -154,31 +155,14 @@ class _SpdSolver:
         return slots, indptr, rows[slots].astype(A_indices.dtype), order
 
 
-def _floored_hessian(density, grads: np.ndarray, floor: float) -> np.ndarray:
-    """``(nt, 2, 2)`` tensor ``D + floor (s I - D)`` at the elementwise
-    gradients ``a = grads``, with ``D = d2phi(a)`` and ``s = psi'(|a|)/|a|``.
-
-    ``floor = 0`` gives ``D``, and so does every floor where ``D = s I``: at
-    p = 2 and on the design density's quadratic branches.  On the design
-    plateau ``t1 < |a| <= t2`` the radial eigenvalue ``psi'' = 0`` of ``D``
-    becomes ``floor s`` and the tangential one stays ``s``, so for ``floor >
-    0`` the tensor is SPD: Newton's method with a Hessian modification
-    (Nocedal and Wright, Numerical Optimization, 2006, Sec. 3.4).
-    """
-    hess = density.d2phi(grads)
-    if not floor:
-        return hess
-    secant = density.slope_ratio(np.sqrt(np.sum(grads ** 2, axis=-1)))
-    return hess + floor * (secant[..., None, None] * np.eye(2) - hess)
-
-
 class DiscreteProblem:
     """Energy, gradient, and Hessian of the discrete minimization problem.
 
     Parameters
     ----------
     mesh : the triangulation.
-    density : convex density with ``phi``/``dphi``/``d2phi``/``slope_ratio``.
+    density : convex density with ``phi``/``dphi``/``phi_star`` and
+        ``d2phi(a, floor)``, the Hessian at floor 0 (:mod:`.energy_models`).
     load : elementwise-constant right-hand side ``f_h``.
     space : "cr" (side midpoint unknowns) or "p1" (vertex unknowns).
     dirichlet : optional full-length array of prescribed values; only the
@@ -252,9 +236,9 @@ class DiscreteProblem:
         return out
 
     def hessian(self, u: np.ndarray, floor: float = 0.0) -> sp.csc_matrix:
-        """Free-dof matrix (CSC) of :func:`_floored_hessian` at ``grad u``;
-        the Hessian at ``floor = 0``."""
-        tensor = _floored_hessian(self.density, self.broken_gradient(u), floor)
+        """Free-dof matrix (CSC) of the elementwise tensor
+        ``density.d2phi(grad u, floor)``; the Hessian at ``floor = 0``."""
+        tensor = self.density.d2phi(self.broken_gradient(u), floor)
         # batched B D B^T: about half the time of a three-operand einsum
         local = self.mesh.areas[:, None, None] * (
             self.basis_grads @ tensor @ self.basis_grads.transpose(0, 2, 1))
@@ -342,13 +326,13 @@ def _descend(problem: DiscreteProblem, u0, method: str, floor: float, stop,
     """The one descent loop: ``u <- u + t delta``, ``H delta = -DI(u)``.
 
     ``H = problem.hessian(u, floor)``, and the stress of the linear problem
-    that ``delta`` solves is ``Dphi(grad u) + T grad delta``, with ``T`` the
-    same :func:`_floored_hessian` tensor.  Every ``delta`` is a direct solve
-    of one :class:`_SpdSolver`, which keeps its ordering while the pattern
-    of ``H`` stays; ``t`` comes from :func:`_line_search`.  The solve ends
-    with ``reason`` once ``stop(state)`` holds before a step, or after
-    ``max_iter`` steps.  On CR, a solve without a step makes one linear
-    solve for the report's stress."""
+    that ``delta`` solves is ``Dphi(grad u) + T grad delta``, with ``T =
+    d2phi(grad u, floor)`` the tensor ``H`` assembles.  Every ``delta`` is
+    a direct solve of one :class:`_SpdSolver`, which keeps its ordering
+    while the pattern of ``H`` stays; ``t`` comes from :func:`_line_search`.
+    The solve ends with ``reason`` once ``stop(state)`` holds before a step,
+    or after ``max_iter`` steps.  On CR, a solve without a step makes one
+    linear solve for the report's stress."""
     u = problem.initial_state() if u0 is None else problem.impose_dirichlet(u0)
     free = problem.free_mask
     grad = problem.gradient(u)
@@ -361,7 +345,7 @@ def _descend(problem: DiscreteProblem, u0, method: str, floor: float, stop,
         delta[free] = step
         grads = problem.broken_gradient(u)
         return problem.density.dphi(grads) + np.einsum(
-            "tde,te->td", _floored_hessian(problem.density, grads, floor),
+            "tde,te->td", problem.density.d2phi(grads, floor),
             problem.broken_gradient(delta))
 
     while not (met := stop(state)) and len(state.energies) <= max_iter:
@@ -489,8 +473,8 @@ def newton_solve(problem: DiscreteProblem, u0=None, tol_abs: float = 1e-8,
                     "residual below tolerance", max_iter)
 
 
-#: Floor of the flow's Hessian (see :func:`_floored_hessian`), chosen by
-#: the CR step count of the design-flow benchmark workload.
+#: Floor of the flow's Hessian ``d2phi(a, FLOOR)``, chosen by the CR step
+#: count of the design-flow benchmark workload.
 FLOOR = 0.1
 
 #: Stop factor of the flow solve: against the estimate on CR, against the

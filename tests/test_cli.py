@@ -159,6 +159,12 @@ def test_spec_rejects_bad_parameters():
         BenchmarkSpec(problem="optimal-design", mu1=2.0, mu2=1.0)
     with pytest.raises(ValueError):
         BenchmarkSpec(problem="optimal-design", lam=0.0)
+    with pytest.raises(ValueError, match="p > 1"):
+        BenchmarkSpec(problem="p-dirichlet", p=float("inf"))
+    with pytest.raises(ValueError):
+        BenchmarkSpec(problem="optimal-design", lam=float("nan"))
+    with pytest.raises(ValueError):
+        BenchmarkSpec(problem="optimal-design", mu2=float("inf"))
 
 
 def test_spec_builds_power_model_problem():
@@ -413,8 +419,21 @@ def test_main_rejects_a_bad_benchmark_parameter(tmp_path, capsys):
     assert "p > 1" in err
 
 
-@pytest.mark.parametrize("content", [None, "3 1 0\n0 0\n1 0\n"],
-                         ids=["missing", "malformed"])
+@pytest.mark.parametrize("flags", [("p-dirichlet", "--p", "inf"),
+                                   ("optimal-design", "--lambda", "nan")],
+                         ids=["p-inf", "lambda-nan"])
+def test_main_rejects_a_non_finite_parameter(tmp_path, capsys, flags):
+    problem, *parameter = flags
+    _rejected(tmp_path, capsys, "--problem", problem, *parameter)
+
+
+_UNUSED_VERTEX = "4 1 3\n0 0\n1 0\n0 1\n5 5\n0 1 2\n0 1 D\n1 2 D\n0 2 D\n"
+_ALL_NEUMANN = "3 1 3\n0 0\n1 0\n0 1\n0 1 2\n0 1 N\n1 2 N\n0 2 N\n"
+
+
+@pytest.mark.parametrize(
+    "content", [None, "3 1 0\n0 0\n1 0\n", _UNUSED_VERTEX, _ALL_NEUMANN],
+    ids=["missing", "malformed", "unused-vertex", "no-dirichlet-side"])
 def test_main_rejects_an_unreadable_mesh_file(tmp_path, capsys, content):
     mesh_file = tmp_path / "bad.mesh"
     if content is not None:

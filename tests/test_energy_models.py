@@ -180,6 +180,40 @@ def test_ppower_hessian_matches_outer_product_form(p):
         assert np.array_equal(got, np.broadcast_to(np.eye(2), got.shape))
 
 
+def _radial_gradients(radii, rng):
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=radii.size)
+    return radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], 1)
+
+
+@pytest.mark.parametrize("floor", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("model", ["p1.2", "p1.6", "p2", "p3", "od"])
+def test_floored_hessian_is_the_one_pass_radial_tensor(model, floor):
+    # d2phi(a, floor) against the two-pass D + floor (s I - D), D = d2phi(a)
+    # and s = psi'(|a|)/|a|; on the design density at radii below, on and
+    # beyond the plateau
+    rng = np.random.default_rng(61)
+    if model == "od":
+        d = OptimalDesignDensity()
+        radii = np.concatenate([rng.uniform(0.0, d.t1, 30),
+                                rng.uniform(d.t1, d.t2, 30),
+                                rng.uniform(d.t2, 3.0 * d.t2, 30),
+                                [0.0, d.t1, d.t2]])
+    else:
+        d = PPowerDensity(float(model[1:]))
+        radii = np.concatenate([10.0 ** rng.uniform(-4, 2, 90), [0.0]])
+    a = _radial_gradients(radii, rng)
+    got = d.d2phi(a, floor)
+    hess = d.d2phi(a)
+    secant = d.slope_ratio(radii)[:, None, None] * np.eye(2)
+    ref = hess + floor * (secant - hess)
+    scale = np.abs(ref).max(axis=(-2, -1))[:, None, None]
+    assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+    if floor == 1.0:  # every curvature is the secant slope
+        assert np.allclose(got, secant, rtol=1e-14, atol=0.0)
+    assert np.array_equal(got, np.swapaxes(got, -1, -2))
+    assert np.all(np.linalg.eigvalsh(got) > 0.0)
+
+
 def test_slope_ratio():
     d = PPowerDensity(1.6)
     t = np.array([0.0, 0.5, 2.0])

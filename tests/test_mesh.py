@@ -255,6 +255,17 @@ def test_load_rejects_malformed(tmp_path):
         load_mesh(bad)
 
 
+def test_vertex_in_no_triangle_rejected():
+    # a vertex that no triangle uses has no gradient, no average and a zero
+    # row in every P1 system
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]])
+    with pytest.raises(MeshError, match="vertex 3 is in no triangle"):
+        Triangulation(verts, np.array([[0, 1, 2]]))
+    verts[[1, 3]] = verts[[3, 1]]
+    with pytest.raises(MeshError, match="vertex 1 is in no triangle"):
+        Triangulation(verts, np.array([[0, 3, 2]]))
+
+
 def test_nonmanifold_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
                       [1.0, 1.0]])

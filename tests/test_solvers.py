@@ -346,20 +346,19 @@ def test_floored_hessian_lifts_only_the_plateau_curvature():
     on = gradients(np.concatenate([[t2], rng.uniform(t1 * (1 + 1e-12), t2,
                                                      40)]))
     anywhere = np.concatenate([off, on])
-    floored = solvers._floored_hessian
     # the density's own Hessian, bit for bit: at floor 0, off the plateau
     # and at p = 2, where the Hessian is the secant slope times I
     for density in (design, PPowerDensity(1.4), PPowerDensity(2.0)):
-        assert np.array_equal(floored(density, anywhere, 0.0),
+        assert np.array_equal(density.d2phi(anywhere, 0.0),
                               density.d2phi(anywhere))
-    assert np.array_equal(floored(design, off, solvers.FLOOR),
+    assert np.array_equal(design.d2phi(off, solvers.FLOOR),
                           design.d2phi(off))
     p2 = PPowerDensity(2.0)
-    assert np.array_equal(floored(p2, anywhere, solvers.FLOOR),
+    assert np.array_equal(p2.d2phi(anywhere, solvers.FLOOR),
                           p2.d2phi(anywhere))
     # on the plateau psi'(t)/t = mu2 t1 / t: the radial curvature 0 becomes
     # FLOOR times it, the tangential one stays
-    tensor = floored(design, on, solvers.FLOOR)
+    tensor = design.d2phi(on, solvers.FLOOR)
     t = np.hypot(on[:, 0], on[:, 1])
     secant = design.mu2 * t1 / t
     radial = on / t[:, None]

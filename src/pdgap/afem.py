@@ -4,14 +4,19 @@ Each iteration computes a nonconforming minimizer, its explicit flux
 reconstruction, and a conforming candidate; evaluates the guaranteed gap
 indicators; records a trace row; and refines a minimal marked set (or all
 elements when running the uniform baseline).
+
+The trace schema is :class:`AfemRecord`: its fields, in order, are the
+columns of ``trace.csv`` and their annotations the cell types, which the
+writer, :func:`read_trace_csv` and :meth:`AfemTrace.column` all follow.
+:func:`write_csv` writes that file and every per-level dump.
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import astuple, dataclass, field, fields
+from typing import Any, Callable, get_type_hints
 
 import numpy as np
 
@@ -29,16 +34,12 @@ from .solvers import DiscreteProblem, SolverReport, solve_problem
 __all__ = [
     "AfemConfig", "AfemProblem", "AfemRecord", "AfemTrace", "LevelState",
     "afem_run", "check_solver", "conforming_candidate", "dorfler_mark",
-    "read_trace_csv",
+    "read_trace_csv", "write_csv",
 ]
 
 _CONFORMING_MODES = ("minimize", "average")
 _SOLVERS = ("newton", "flow")
 _MARKERS = ("pd", "residual")
-
-#: Trace CSV column names, in file order.
-CSV_COLUMNS = ("k", "N", "elements", "eta_hat_sq", "eta_res_sq", "rho_sq",
-               "rho_I_sq", "I_primal", "D_dual", "discrete_gap", "seconds")
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,8 @@ class AfemConfig:
     """Parameters of one adaptive run.
 
     ``theta`` is the bulk-marking parameter in (0,1); the loop runs
-    ``max_iterations`` levels unless a solver fails or nothing is marked.
+    ``max_iterations`` levels unless a solver fails, a flux fails the dual
+    feasibility test or nothing is marked.
     ``conforming`` selects how the conforming candidate is built
     ("minimize": solve the conforming minimization problem; "average":
     vertex-average the nonconforming minimizer).  ``solver``/
@@ -124,7 +126,8 @@ class AfemProblem:
 
 @dataclass(frozen=True)
 class AfemRecord:
-    """One trace row; field order matches :data:`CSV_COLUMNS`."""
+    """One trace row: the fields, in order, are the trace CSV's columns,
+    and each annotation is the type of that column's cells."""
 
     k: int
     N: int
@@ -137,6 +140,24 @@ class AfemRecord:
     D_dual: float
     discrete_gap: float
     seconds: float
+
+
+#: Trace CSV column names, in file order.
+CSV_COLUMNS = tuple(f.name for f in fields(AfemRecord))
+#: The cell type of each trace column.
+_CELL_TYPES = get_type_hints(AfemRecord)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a CSV file: the ``header`` names, then one line per row.
+
+    Every cell is formatted with ``format(cell, ".17g")``: floats round-trip
+    exactly and integers print as plain digits.
+    """
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(format(cell, ".17g") for cell in row) + "\n")
 
 
 @dataclass
@@ -160,9 +181,10 @@ class AfemTrace:
 
     ``problem`` is the problem's label.  ``cr_energies`` holds the
     nonconforming minimal energies (one per recorded iteration; not a CSV
-    column).  ``failed``/``failure_reason`` flag a solver breakdown, in
-    which case the rows cover only the completed iterations.  ``final``
-    keeps the discrete fields of the last completed iteration.
+    column).  ``failed``/``failure_reason`` flag a solver breakdown or an
+    infeasible flux, in which case the rows cover only the recorded
+    iterations.  ``final`` keeps the discrete fields of the last recorded
+    iteration.
     """
 
     problem: str = ""
@@ -173,21 +195,13 @@ class AfemTrace:
     final: LevelState | None = None
 
     def column(self, name: str) -> np.ndarray:
-        """Values of one trace column over all rows, as an array."""
-        if name not in CSV_COLUMNS:
-            raise KeyError(f"unknown trace column {name!r}")
-        dtype = int if name in ("k", "N", "elements") else float
+        """Values of one trace column over all rows, as an array of the
+        column's cell type; :class:`KeyError` if ``name`` is no column."""
+        dtype = _CELL_TYPES[name]
         return np.array([getattr(r, name) for r in self.records], dtype=dtype)
 
     def to_csv(self, path) -> None:
-        lines = [",".join(CSV_COLUMNS)]
-        for r in self.records:
-            cells = [str(r.k), str(r.N), str(r.elements)]
-            cells += [format(getattr(r, name), ".17g")
-                      for name in CSV_COLUMNS[3:]]
-            lines.append(",".join(cells))
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(path, CSV_COLUMNS, map(astuple, self.records))
 
 
 def read_trace_csv(path) -> list[AfemRecord]:
@@ -197,12 +211,12 @@ def read_trace_csv(path) -> list[AfemRecord]:
         rows = list(csv.reader(fh))
     if not rows or tuple(rows[0]) != CSV_COLUMNS:
         raise ValueError("trace file header does not match the trace schema")
+    types = [_CELL_TYPES[name] for name in CSV_COLUMNS]
     out = []
     for row in rows[1:]:
         if len(row) != len(CSV_COLUMNS):
             raise ValueError("malformed trace row")
-        out.append(AfemRecord(int(row[0]), int(row[1]), int(row[2]),
-                              *(float(cell) for cell in row[3:])))
+        out.append(AfemRecord(*(cast(cell) for cast, cell in zip(types, row))))
     return out
 
 
@@ -212,13 +226,14 @@ def dorfler_mark(indicators, theta: float) -> np.ndarray:
     Returns the smallest set ``M`` of element ids (ascending) whose
     indicator sum reaches ``theta**2`` times the total, realized by a
     descending sort with ties broken toward smaller ids and a greedy prefix.
-    All-zero indicators give an empty set.
+    All-zero indicators give an empty set; a negative or non-finite
+    indicator raises :class:`ValueError`.
     """
     vals = np.asarray(indicators, dtype=float)
     if vals.ndim != 1:
         raise ValueError("indicators must be a flat per-element array")
-    if vals.size and float(vals.min()) < 0.0:
-        raise ValueError("indicators must be nonnegative")
+    if not np.all(np.isfinite(vals) & (vals >= 0.0)):
+        raise ValueError("indicators must be finite and nonnegative")
     total = float(vals.sum())
     if total <= 0.0:
         return np.empty(0, dtype=int)
@@ -308,7 +323,9 @@ def afem_run(problem: AfemProblem, cfg: AfemConfig) -> AfemTrace:
     Unless it was the last level, the loop then marks (Doerfler on the
     configured indicators, or every element with ``cfg.uniform``) and
     refines.  A solver failure at any level stops the run with the rows
-    recorded so far and ``failed`` set.  The run is deterministic: the
+    recorded so far and ``failed`` set; so does a flux that fails the
+    dual feasibility test, after its level's row (``eta_hat_sq`` +inf,
+    ``D_dual`` -inf) is recorded.  The run is deterministic: the
     ``seconds`` column, the solve-to-estimate span of each iteration, is
     the only run-to-run-dependent column.  Newton on the optimal-design
     density raises ``ValueError`` before any level: its plateau Hessian is
@@ -371,6 +388,12 @@ def afem_run(problem: AfemProblem, cfg: AfemConfig) -> AfemTrace:
         trace.final = LevelState(mesh=mesh, f_h=f_h, u_cr=u_cr, flux=flux,
                                  candidate=candidate, indicators=indicators,
                                  residual=residual)
+        if not np.isfinite(dual):
+            trace.failed = True
+            trace.failure_reason = (
+                f"the flux of iteration {k} fails the dual feasibility test "
+                "(divergence, normal continuity or Neumann flux)")
+            break
 
         if k == cfg.max_iterations - 1:
             break

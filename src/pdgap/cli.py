@@ -2,9 +2,12 @@
 
 Defines the two L-shape benchmarks (the p-power model with a known singular
 solution and the two-phase optimal design model), runs the adaptive or
-uniform loop on them, and writes ``trace.csv`` plus two SVG convergence
-plots.  The SVG output is generated directly (no plotting library) so that
-identical runs produce byte-identical files.
+uniform loop on them, and writes ``trace.csv``, two SVG convergence plots
+and, on request, CSV dumps of the final level's indicators, flux and
+nonconforming solution.  Every CSV goes through :func:`pdgap.afem.write_csv`
+and the SVG output is generated directly (no plotting library), so
+identical runs produce byte-identical files apart from ``trace.csv``'s
+``seconds`` column.
 """
 
 from __future__ import annotations
@@ -18,10 +21,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .afem import (AfemConfig, AfemProblem, AfemTrace, afem_run,
-                   check_solver)
+                   check_solver, write_csv)
 from .energy_models import OptimalDesignDensity, PPowerDensity
 from .estimators import aitken_extrapolate
-from .fespaces import write_function_csv
 from .mesh import Triangulation, load_mesh, make_lshape_mesh
 
 __all__ = [
@@ -72,16 +74,13 @@ def exact_solution_pdirichlet(p: float) -> PDirichletExact:
         raise ValueError("the exponent must satisfy p > 1")
     delta = 1.2 * (1.0 - 1.0 / p)
 
+    # whole-array evaluation, corner zeroed afterwards: the boundary data,
+    # the load and the error columns call these on every level
     def value(points):
         r, theta = _polar(points)
-        out = np.zeros_like(r)
-        mask = r > 0.0
-        out[mask] = r[mask] ** delta * np.sin(delta * theta[mask])
-        return out
+        return r ** delta * np.sin(delta * theta)  # 0 at the corner
 
     def gradient(points):
-        # whole-array evaluation, corner zeroed afterwards: the error
-        # columns call this at every quadrature point of every level
         r, theta = _polar(points)
         angle = (delta - 1.0) * theta
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -96,12 +95,11 @@ def exact_solution_pdirichlet(p: float) -> PDirichletExact:
 
     def load(points):
         r, theta = _polar(points)
-        out = np.zeros_like(r)
-        if coefficient != 0.0:
-            mask = r > 0.0
-            out[mask] = (coefficient * r[mask] ** exponent
-                         * np.sin(delta * theta[mask]))
-        return out
+        if coefficient == 0.0:
+            return np.zeros_like(r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = coefficient * r ** exponent * np.sin(delta * theta)
+        return np.where(r > 0.0, out, 0.0)
 
     return PDirichletExact(value, gradient, load, delta)
 
@@ -312,23 +310,6 @@ def emit_plot(trace, columns, path, logy: bool = True,
 # Benchmark driver
 # ---------------------------------------------------------------------------
 
-def _dump_indicators(trace: AfemTrace, path) -> None:
-    level = trace.final
-    ind, res = level.indicators, level.residual
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("element_id,eta_A,eta_D_hat,eta_res_sq\n")
-        for t in range(level.mesh.num_triangles):
-            cells = [ind.eta_A_sq[t], ind.eta_D_hat_sq[t], res.eta_res_sq[t]]
-            fh.write(f"{t}," + ",".join(f"{c:.17g}" for c in cells) + "\n")
-
-
-def _dump_flux(trace: AfemTrace, path) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("side_id,coeff\n")
-        for s, c in enumerate(trace.final.flux.coeffs):
-            fh.write(f"{s},{c:.17g}\n")
-
-
 def run_benchmark(spec: BenchmarkSpec, cfg: AfemConfig, out_dir,
                   seed: int = 0, dump_indicators=None, dump_flux=None,
                   dump_fields=None) -> int:
@@ -340,7 +321,8 @@ def run_benchmark(spec: BenchmarkSpec, cfg: AfemConfig, out_dir,
     the gap indicator) and ``eta_res_sq``; per side the flux coefficient;
     and per unknown the solution.
     Returns 0 on success and 1 (with a diagnostic on stderr) when the
-    nonlinear solver failed; the partial trace is still written.
+    run failed (a nonlinear solver, or an infeasible flux); the partial
+    trace is still written.
     ``seed`` is accepted and ignored: the run is deterministic.
     """
     out = Path(out_dir)
@@ -356,13 +338,18 @@ def run_benchmark(spec: BenchmarkSpec, cfg: AfemConfig, out_dir,
         emit_plot(trace, ["I_primal", "D_dual"],
                   out / "energies_vs_N.svg", logy=False, guide_slope=None,
                   title=f"energies vs N ({trace.problem})")
-    if trace.final is not None:
-        if dump_indicators:
-            _dump_indicators(trace, dump_indicators)
-        if dump_flux:
-            _dump_flux(trace, dump_flux)
-        if dump_fields:
-            write_function_csv(trace.final.u_cr, dump_fields)
+    level = trace.final
+    if level is not None:
+        dumps = ((dump_indicators, ("element_id", "eta_A", "eta_D_hat",
+                                    "eta_res_sq"),
+                  (level.indicators.eta_A_sq, level.indicators.eta_D_hat_sq,
+                   level.residual.eta_res_sq)),
+                 (dump_flux, ("side_id", "coeff"), (level.flux.coeffs,)),
+                 (dump_fields, ("dof_id", "value"), (level.u_cr.values,)))
+        for path, header, columns in dumps:
+            if path:
+                write_csv(path, header,
+                          zip(range(len(columns[0])), *columns))
     if trace.failed:
         print(f"error: {trace.failure_reason}", file=sys.stderr)
         return 1
@@ -417,6 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> AfemConfig:
+    for flag, tol in (("--tol-abs", args.tol_abs), ("--tol-rel", args.tol_rel)):
+        if not (np.isfinite(tol) and tol >= 0.0):
+            raise ValueError(f"{flag} must be finite and nonnegative")
+    if args.max_iter is not None and args.max_iter < 0:
+        raise ValueError("--max-iter must be nonnegative")
     solver = args.solver
     if solver is None:
         solver = "flow" if args.problem == "optimal-design" else "newton"

@@ -178,13 +178,6 @@ def eta_hat_sq(u_tilde: P1Function, z: Rt0Field, density,
     if not _feasible(z, f_h):
         inf = np.full(mesh.num_triangles, np.inf)
         return GapIndicators(inf, inf)
-    return _guaranteed_parts(u_tilde, z, density)
-
-
-def _guaranteed_parts(u_tilde: P1Function, z: Rt0Field,
-                      density) -> GapIndicators:
-    """:func:`eta_hat_sq` without the feasibility test."""
-    mesh = u_tilde.mesh
     grads = u_tilde.gradients()
     means = z.element_means()
     # Fenchel-Young residual of (grad u, mean z); >= 0, clipped for roundoff

@@ -26,7 +26,7 @@ from .quadrature import RULE_ORDER4, TriangleRule
 __all__ = [
     "PwConstant", "PwConstantVector", "P1Function", "CrFunction", "Rt0Field",
     "project_pw", "node_average", "side_jump", "vector_jump", "ibp_residual",
-    "prolong_cr", "write_function_csv",
+    "prolong_cr",
 ]
 
 
@@ -154,22 +154,6 @@ def project_pw(mesh: Triangulation, f, rule: TriangleRule = RULE_ORDER4) -> PwCo
     arrays, by the quadrature ``rule``."""
     pts = rule.points(mesh.triangle_coords)
     return PwConstant(mesh, np.asarray(f(pts), dtype=float) @ rule.weights)
-
-
-def write_function_csv(fn, path) -> None:
-    """Serialize a finite element function to ``dof_id,value`` CSV rows.
-
-    Works for any object with a flat ``values`` array (vertex or
-    side-midpoint unknowns); values carry 17 significant digits so they
-    round-trip exactly.
-    """
-    values = getattr(fn, "values", None)
-    if values is None:
-        raise TypeError("object has no 'values' array")
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("dof_id,value\n")
-        for i, v in enumerate(np.asarray(values, dtype=float)):
-            fh.write(f"{i},{v:.17g}\n")
 
 
 def node_average(v: CrFunction, dirichlet_values=None) -> P1Function:

@@ -47,7 +47,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .estimators import _guaranteed_parts, dual_energy, primal_energy
+from .estimators import dual_energy, eta_hat_sq, primal_energy
 from .fespaces import CrFunction, P1Function, PwConstant, node_average
 from .mesh import Triangulation
 from .reconstruction import marini_reconstruct
@@ -548,9 +548,8 @@ def _gap_below_tolerance(problem: DiscreteProblem, u: np.ndarray,
         return False
     gv = (np.zeros(problem.mesh.num_vertices) if vertex_dirichlet is None
           else vertex_dirichlet)
-    # eta_hat_sq of the averaged candidate; z passed the test in dual_energy
-    eta_bar_sq = _guaranteed_parts(node_average(u_cr, dirichlet_values=gv),
-                                   z, problem.density).eta_hat_sq_total
+    eta_bar_sq = eta_hat_sq(node_average(u_cr, dirichlet_values=gv), z,
+                            problem.density, problem.load).eta_hat_sq_total
     roundoff = 1e-12 * (abs(energy) + abs(dual))
     return energy - dual <= GAMMA * eta_bar_sq + roundoff
 

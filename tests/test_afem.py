@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+import pdgap.afem as afem
 from pdgap.afem import (CSV_COLUMNS, AfemConfig, AfemProblem, AfemRecord,
                         AfemTrace, afem_run, conforming_candidate,
-                        dorfler_mark, read_trace_csv)
+                        dorfler_mark, read_trace_csv, write_csv)
 from pdgap.cli import BenchmarkSpec
 from pdgap.energy_models import OptimalDesignDensity, PPowerDensity
 from pdgap.estimators import primal_energy
@@ -57,6 +58,14 @@ def test_mark_rejects_bad_input():
         dorfler_mark([1.0, -0.5], 0.5)
     with pytest.raises(ValueError):
         dorfler_mark(np.ones((2, 2)), 0.5)
+
+
+@pytest.mark.parametrize("vals", [np.full(5, np.inf), [1.0, np.nan, 2.0]],
+                         ids=["all-inf", "nan"])
+def test_mark_rejects_non_finite_indicators(vals):
+    # inf - inf and NaN comparisons would otherwise mark one element or all
+    with pytest.raises(ValueError, match="nonnegative"):
+        dorfler_mark(vals, 0.5)
 
 
 def test_mark_minimal_cardinality_random():
@@ -167,6 +176,22 @@ def test_solver_failure_flags_partial_trace():
     trace = afem_run(_lshape_problem(p=1.6), cfg)
     assert trace.failed and "did not converge at iteration 0" in trace.failure_reason
     assert len(trace.records) == 0
+
+
+def test_infeasible_flux_stops_the_run_after_its_row(monkeypatch):
+    # the flux of a stress that solves no linear CR problem fails the
+    # feasibility test: the level's row is recorded, then the run stops
+    reconstruct = afem.marini_reconstruct
+
+    def scaled_stress(u, density, load, stress):
+        return reconstruct(u, density, load, stress=1.5 * stress)
+
+    monkeypatch.setattr(afem, "marini_reconstruct", scaled_stress)
+    trace = afem_run(_lshape_problem(p=1.6), AfemConfig(max_iterations=3))
+    assert trace.failed and "feasibility test" in trace.failure_reason
+    assert len(trace.records) == 1
+    row = trace.records[0]
+    assert row.eta_hat_sq == np.inf and row.D_dual == -np.inf
 
 
 def test_refinement_without_new_vertices_raises(monkeypatch):
@@ -333,6 +358,14 @@ def test_trace_csv_round_trip(tmp_path):
     assert len(back) == len(trace.records)
     for got, expected in zip(back, trace.records):
         assert _records_equal(got, expected)
+
+
+def test_write_csv_formats_every_cell_with_17_digits(tmp_path):
+    path = tmp_path / "cells.csv"
+    write_csv(path, ("i", "x", "y", "u", "v"),
+              [(7, 0.1, np.float64(1.0) / 3.0, np.nan, np.inf)])
+    assert path.read_bytes() == (
+        b"i,x,y,u,v\n7,0.10000000000000001,0.33333333333333331,nan,inf\n")
 
 
 def test_trace_csv_rejects_bad_header(tmp_path):

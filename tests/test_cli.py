@@ -6,12 +6,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pdgap.afem import AfemConfig, AfemRecord, AfemTrace, read_trace_csv
+from pdgap.afem import (AfemConfig, AfemRecord, AfemTrace, read_trace_csv,
+                        write_csv)
 from pdgap.cli import (BenchmarkSpec, _config_from_args, build_parser,
                        emit_plot, exact_solution_pdirichlet, main,
                        run_benchmark)
 from pdgap.energy_models import OptimalDesignDensity, PPowerDensity
-from pdgap.fespaces import P1Function, write_function_csv
 from pdgap.mesh import (make_lshape_mesh, make_square_mesh, save_mesh,
                         uniform_refine)
 from pdgap.quadrature import RULE_ORDER8, integrate
@@ -326,6 +326,32 @@ def test_run_benchmark_writes_trace_plots_and_dumps(tmp_path):
     assert len(field_lines) == len(flux_lines)
 
 
+def _without_seconds(trace_text: str) -> list[list[str]]:
+    rows = [line.split(",") for line in trace_text.splitlines()]
+    drop = rows[0].index("seconds")
+    return [row[:drop] + row[drop + 1:] for row in rows]
+
+
+def test_identical_runs_write_byte_identical_files(tmp_path):
+    spec = BenchmarkSpec(problem="p-dirichlet", p=1.6)
+    cfg = AfemConfig(max_iterations=3)
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert run_benchmark(spec, cfg, out,
+                             dump_indicators=out / "indicators.csv",
+                             dump_flux=out / "flux.csv",
+                             dump_fields=out / "fields.csv") == 0
+    names = sorted(path.name for path in (tmp_path / "a").iterdir())
+    assert names == ["energies_vs_N.svg", "estimator_vs_N.svg", "fields.csv",
+                     "flux.csv", "indicators.csv", "trace.csv"]
+    for name in names:
+        a, b = ((tmp_path / run / name).read_bytes() for run in ("a", "b"))
+        if name == "trace.csv":  # the wall time is the one run-dependent cell
+            a, b = _without_seconds(a.decode()), _without_seconds(b.decode())
+            assert len(a) == 4
+        assert a == b, name
+
+
 def test_run_benchmark_fills_two_phase_reference_error(tmp_path):
     spec = BenchmarkSpec(problem="optimal-design")
     cfg = AfemConfig(max_iterations=4, solver="flow")
@@ -442,6 +468,16 @@ def test_main_rejects_an_unreadable_mesh_file(tmp_path, capsys, content):
               str(mesh_file))
 
 
+@pytest.mark.parametrize("flags", [("--tol-abs", "nan"), ("--tol-rel", "inf"),
+                                   ("--tol-abs", "-1"), ("--max-iter", "-1")],
+                         ids=["tol-abs-nan", "tol-rel-inf", "tol-abs-negative",
+                              "max-iter-negative"])
+def test_main_rejects_a_bad_solver_option(tmp_path, capsys, flags):
+    err = _rejected(tmp_path, capsys, "--problem", "p-dirichlet", "--p", "1.6",
+                    *flags)
+    assert flags[0] in err
+
+
 def test_main_reports_a_solver_failure_with_status_1(tmp_path):
     code = main(["run", "--problem", "p-dirichlet", "--p", "1.6", "--iters",
                  "2", "--max-iter", "0", "--out-dir", str(tmp_path)])
@@ -457,20 +493,3 @@ def test_main_accepts_mesh_file(tmp_path):
     assert code == 0
     records = read_trace_csv(tmp_path / "trace.csv")
     assert records[0].elements == 8
-
-
-# ---------------------------------------------------------------------------
-# Field CSV helper
-# ---------------------------------------------------------------------------
-
-def test_write_function_csv_round_trip(tmp_path):
-    mesh = make_square_mesh(1)
-    fn = P1Function(mesh, np.arange(mesh.num_vertices, dtype=float))
-    path = tmp_path / "fn.csv"
-    write_function_csv(fn, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "dof_id,value"
-    assert len(lines) - 1 == mesh.num_vertices
-    assert lines[1] == "0,0"
-    with pytest.raises(TypeError):
-        write_function_csv(object(), tmp_path / "bad.csv")

@@ -8,7 +8,10 @@ couplings across right angles are exact zeros that the assembly does not
 store.
 ``test_spd_factor_solve_on_a_reused_ordering`` times the later systems of
 a solve: a second p = 1.2 Hessian of the same pattern, factorized by the
-solver that ordered the first.  The directory is outside the Tier-1
+solver that ordered the first.  ``test_kept_factor_solve`` times what a
+Newton step on a kept factor costs instead of a factorization: the LU
+solve and the backward-error check on the p = 1.2 factor the solver
+keeps.  The directory is outside the Tier-1
 ``testpaths``; run it with
 
     PYTHONPATH=src OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 \\
@@ -67,3 +70,17 @@ def test_spd_factor_solve_on_a_reused_ordering(benchmark, reused):
     kept = solver._perm_c
     x = benchmark(solver.solve, hessian, b)
     assert solver._perm_c is kept and np.isfinite(x).all()
+
+
+@pytest.fixture(scope="module", params=list(LEVELS))
+def kept(request):
+    (hessian,), b = _hessians(request.param, 1.2, count=1)
+    solver = _SpdSolver()
+    solver.solve(hessian, b)
+    return solver, b
+
+
+def test_kept_factor_solve(benchmark, kept):
+    solver, b = kept
+    x = benchmark(solver.solve_kept, b)
+    assert solver.kept and np.isfinite(x).all()

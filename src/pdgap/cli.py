@@ -397,23 +397,33 @@ def build_parser() -> argparse.ArgumentParser:
                      default=None)
     run.add_argument("--interior-node", dest="interior_node",
                      action="store_true")
-    run.add_argument("--tol-abs", dest="tol_abs", type=float, default=1e-8)
-    run.add_argument("--tol-rel", dest="tol_rel", type=float, default=1e-10)
+    run.add_argument("--tol-abs", dest="tol_abs", type=float, default=None,
+                     help="Newton only; default 1e-8")
+    run.add_argument("--tol-rel", dest="tol_rel", type=float, default=None,
+                     help="Newton only; default 1e-10")
     run.add_argument("--max-iter", dest="max_iter", type=int, default=None)
     return parser
 
 
 def _config_from_args(args) -> AfemConfig:
-    for flag, tol in (("--tol-abs", args.tol_abs), ("--tol-rel", args.tol_rel)):
+    solver = args.solver
+    if solver is None:
+        solver = "flow" if args.problem == "optimal-design" else "newton"
+    given = {"--tol-abs": args.tol_abs, "--tol-rel": args.tol_rel}
+    for flag, tol in given.items():
+        if tol is None:
+            continue
+        if solver == "flow":
+            raise ValueError(f"{flag} is a Newton tolerance; the flow solver "
+                             "stops on its own rules")
         if not (np.isfinite(tol) and tol >= 0.0):
             raise ValueError(f"{flag} must be finite and nonnegative")
     if args.max_iter is not None and args.max_iter < 0:
         raise ValueError("--max-iter must be nonnegative")
-    solver = args.solver
-    if solver is None:
-        solver = "flow" if args.problem == "optimal-design" else "newton"
-    options = ({"tol_abs": args.tol_abs, "tol_rel": args.tol_rel}
-               if solver == "newton" else {})
+    options = {}
+    if solver == "newton":
+        options = {"tol_abs": 1e-8 if args.tol_abs is None else args.tol_abs,
+                   "tol_rel": 1e-10 if args.tol_rel is None else args.tol_rel}
     if args.max_iter is not None:
         options["max_iter"] = args.max_iter
     return AfemConfig(theta=args.theta, max_iterations=args.iters,

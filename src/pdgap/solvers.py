@@ -32,7 +32,11 @@ Every linear system either solver meets is symmetric positive definite,
 is assembled in CSC form without stored zeros, and is factorized by one
 :class:`_SpdSolver` per nonlinear solve: the first system on a
 minimum-degree ordering, the later ones on that same ordering while the
-sparsity pattern stays.  Every step of either solver is one such direct
+sparsity pattern stays.  Every flow step assembles and factorizes its
+system afresh.  A Newton step does too, unless the step before halved the
+residual norm: then it is a chord step on the kept factor of the last
+fresh Hessian ``H(u_f)``, whose stress ``Dphi(grad u) + d2phi(grad u_f)
+grad delta`` again solves a linear CR problem.  Every step is one direct
 solve, checked against a 1e-12 backward-error bound on the unpermuted
 matrix.
 """
@@ -56,17 +60,21 @@ __all__ = ["DiscreteProblem", "SolverReport", "newton_solve",
            "gradient_flow_solve", "solve_problem"]
 
 
-def _check_backward_error(A: sp.spmatrix, x: np.ndarray,
+def _largest_row_sum(A: sp.csc_matrix) -> float:
+    """Largest absolute row sum of the CSC matrix ``A`` (zero if empty),
+    summed from ``|A.data|`` by row index without a copy of ``A``."""
+    if not A.shape[0]:
+        return 0.0
+    return float(np.bincount(A.indices, weights=np.abs(A.data),
+                             minlength=A.shape[0]).max())
+
+
+def _check_backward_error(A: sp.spmatrix, row_sum: float, x: np.ndarray,
                           b: np.ndarray) -> None:
     """Raise :class:`ArithmeticError` unless ``x`` is finite and meets
-    ``|A x - b| <= 1e-12 (1 + |b| + |A| |x|)``, with ``|A|`` the largest
-    absolute row sum (zero for an empty ``A``).
-
-    The row sums are taken in ``A``'s own format: ``spla.norm`` would first
-    convert a CSC matrix to CSR.
-    """
+    ``|A x - b| <= 1e-12 (1 + |b| + |A| |x|)``, with ``|A| = row_sum`` the
+    largest absolute row sum (:func:`_largest_row_sum`)."""
     residual = np.linalg.norm(A @ x - b)
-    row_sum = abs(A).sum(axis=1).max() if A.shape[0] else 0.0
     scale = np.linalg.norm(b) + row_sum * np.linalg.norm(x)
     if not np.isfinite(x).all() or residual > 1e-12 * (1.0 + scale):
         raise ArithmeticError(
@@ -104,19 +112,33 @@ class _SpdSolver:
     The solver keeps the pattern, a copy of the ordering's ``perm_c``
     (SciPy's is a view that keeps the whole factor alive) and, from the
     first reuse on, the map that gathers ``P A P^T`` from ``A.data``.  It
-    keeps no factor, so that one is freed before the next is made.
+    also keeps one factor: the object ``spla.splu`` returned for the last
+    system, that system's matrix and its largest absolute row sum, so that
+    :meth:`solve_kept` can solve again with that matrix.  :meth:`drop`
+    frees it; :meth:`solve` drops it before it factorizes.
     """
 
     def __init__(self):
         self._pattern = self._perm_c = self._gather = None
+        self._kept = None  # (factor, matrix, row sum, permuted?)
+
+    @property
+    def kept(self) -> bool:
+        """Whether a factor is kept for :meth:`solve_kept`."""
+        return self._kept is not None
+
+    def drop(self) -> None:
+        """Free the kept factor, e.g. before the next matrix is assembled."""
+        self._kept = None
 
     def solve(self, A: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
         """``x`` with ``A x = b`` for the SPD matrix ``A``, from a fresh
-        factor and checked by :func:`_check_backward_error`.  Raises
-        :class:`ArithmeticError` on an exactly zero pivot."""
-        kept = self._pattern
-        reuse = (kept is not None and np.array_equal(A.indptr, kept[0])
-                 and np.array_equal(A.indices, kept[1]))
+        factor that is then kept, checked by :func:`_check_backward_error`.
+        Raises :class:`ArithmeticError` on an exactly zero pivot."""
+        self._kept = None
+        pattern = self._pattern
+        reuse = (pattern is not None and np.array_equal(A.indptr, pattern[0])
+                 and np.array_equal(A.indices, pattern[1]))
         factored = A
         if reuse:
             if self._gather is None:
@@ -129,14 +151,22 @@ class _SpdSolver:
                            else "MMD_AT_PLUS_A", **_SUPERLU_OPTIONS)
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise ArithmeticError(f"linear solve failed: {exc}") from exc
-        if reuse:
-            x = lu.solve(b[order])[self._perm_c]
-        else:
+        if not reuse:
             self._pattern = A.indptr, A.indices
             self._perm_c = lu.perm_c.copy()
             self._gather = None
+        self._kept = lu, A, _largest_row_sum(A), reuse
+        return self.solve_kept(b)
+
+    def solve_kept(self, b: np.ndarray) -> np.ndarray:
+        """``x`` with ``A x = b`` for the kept factor's matrix ``A``,
+        checked by :func:`_check_backward_error`."""
+        lu, A, row_sum, permuted = self._kept
+        if permuted:
+            x = lu.solve(b[self._gather[3]])[self._perm_c]
+        else:
             x = lu.solve(b)
-        _check_backward_error(A, x, b)
+        _check_backward_error(A, row_sum, x, b)
         return x
 
     def _gather_map(self):
@@ -305,6 +335,9 @@ class SolverReport:
     residual_norms: list[float] = field(default_factory=list)
     energies: list[float] = field(default_factory=list)
     stop_reason: str = ""
+    #: fresh factorizations of the solve's linear systems: one per step of
+    #: the flow; Newton's kept-factor steps make none (see :func:`_descend`).
+    factorizations: int = 0
     #: (nt, 2) elementwise stress of the last linear solve (CR space only):
     #: ``marini_reconstruct(u, density, f_h, stress=stress)`` is a flux in
     #: RT0 with ``div z = -f_h``, whether or not the solve converged.
@@ -321,15 +354,33 @@ class _Descent:
     stress: Callable[[], np.ndarray] | None = None
 
 
+#: Contraction of the free-residual norm under which a Newton step keeps the
+#: factor: the next step reuses it if the last one cut the norm to at most
+#: this fraction (the refresh rule of Kelley's ``nsold``, Solving Nonlinear
+#: Equations with Newton's Method, SIAM 2003, Sec. 2.5).
+REFRESH = 0.5
+
+
 def _descend(problem: DiscreteProblem, u0, method: str, floor: float, stop,
-             reason: str, max_iter: int) -> tuple[np.ndarray, SolverReport]:
+             reason: str, max_iter: int,
+             chord: bool = False) -> tuple[np.ndarray, SolverReport]:
     """The one descent loop: ``u <- u + t delta``, ``H delta = -DI(u)``.
 
-    ``H = problem.hessian(u, floor)``, and the stress of the linear problem
-    that ``delta`` solves is ``Dphi(grad u) + T grad delta``, with ``T =
-    d2phi(grad u, floor)`` the tensor ``H`` assembles.  Every ``delta`` is
-    a direct solve of one :class:`_SpdSolver`, which keeps its ordering
-    while the pattern of ``H`` stays; ``t`` comes from :func:`_line_search`.
+    ``H = problem.hessian(u_f, floor)`` for an iterate ``u_f``, and the
+    stress of the linear problem that ``delta`` solves is ``Dphi(grad u) +
+    T grad delta``, with ``T = d2phi(grad u_f, floor)`` the tensor ``H``
+    assembles.  Every ``delta`` is a direct solve of one
+    :class:`_SpdSolver`, which keeps its ordering while the pattern of
+    ``H`` stays; ``t`` comes from :func:`_line_search`.
+
+    A step assembles and factorizes ``H`` at ``u_f = u``, except that with
+    ``chord`` (Newton) it solves on the kept factor of the last such ``H``
+    (a chord step) when the last step cut the free-residual norm to at most
+    :data:`REFRESH` of its value and Armijo can decide the chord direction's
+    full step in floating point, ``I(u) + 1e-4 slope < I(u)``.  The kept
+    factor is dropped before the next ``H`` is assembled, so that at most
+    one is alive.
+
     The solve ends with ``reason`` once ``stop(state)`` holds before a step,
     or after ``max_iter`` steps.  On CR, a solve without a step makes one
     linear solve for the report's stress."""
@@ -339,20 +390,38 @@ def _descend(problem: DiscreteProblem, u0, method: str, floor: float, stop,
     state = _Descent(u, [float(np.linalg.norm(grad[free]))],
                      [problem.energy(u)])
     solver = _SpdSolver()
+    factorizations = 0
+    origin = None  # u_f, the iterate the kept factor's H was assembled at
 
-    def stress(u, step):
+    def stress(u, origin, step):
         delta = np.zeros(problem.num_dofs)
         delta[free] = step
         grads = problem.broken_gradient(u)
+        at = grads if origin is u else problem.broken_gradient(origin)
         return problem.density.dphi(grads) + np.einsum(
-            "tde,te->td", problem.density.d2phi(grads, floor),
+            "tde,te->td", problem.density.d2phi(at, floor),
             problem.broken_gradient(delta))
+
+    def fresh(residual):
+        nonlocal origin, factorizations
+        solver.drop()
+        origin = state.u
+        factorizations += 1
+        return solver.solve(problem.hessian(origin, floor), -residual)
 
     while not (met := stop(state)) and len(state.energies) <= max_iter:
         residual = grad[free]
-        step = solver.solve(problem.hessian(state.u, floor), -residual)
-        state.stress = partial(stress, state.u, step)
+        step = None
+        if (chord and solver.kept
+                and state.norms[-1] <= REFRESH * state.norms[-2]):
+            step = solver.solve_kept(-residual)
+            energy = state.energies[-1]
+            if not energy + 1e-4 * float(residual @ step) < energy:
+                step = None
+        if step is None:
+            step = fresh(residual)
         slope = float(residual @ step)
+        state.stress = partial(stress, state.u, origin, step)
         if slope >= 0:  # not a descent direction; fall back to steepest descent
             step = -residual
             slope = -float(residual @ residual)
@@ -361,13 +430,13 @@ def _descend(problem: DiscreteProblem, u0, method: str, floor: float, stop,
         state.norms.append(float(np.linalg.norm(grad[free])))
         state.energies.append(energy)
     if problem.space == "cr" and state.stress is None:
-        step = solver.solve(problem.hessian(state.u, floor), -grad[free])
-        state.stress = partial(stress, state.u, step)
+        state.stress = partial(stress, state.u, state.u, fresh(grad[free]))
     report = SolverReport(
         method=method, converged=bool(met),
         iterations=len(state.energies) - 1, energy=state.energies[-1],
         residual_norms=state.norms, energies=state.energies,
         stop_reason=reason if met else "iteration limit reached",
+        factorizations=factorizations,
         stress=state.stress() if problem.space == "cr" else None)
     return state.u, report
 
@@ -463,14 +532,19 @@ def newton_solve(problem: DiscreteProblem, u0=None, tol_abs: float = 1e-8,
 
     Stops once the free-residual norm drops below ``tol_abs`` or below
     ``tol_rel`` times its initial value, so a start at the exact solution
-    takes no step.  On the CR space the report's ``stress`` is that of the
-    last Newton system: ``Dphi(grad u) + D2phi(grad u) grad delta``.
+    takes no step.  A step that follows one which cut the residual norm to
+    at most :data:`REFRESH` of its value solves on the kept factor of the
+    last Hessian, ``H(u_f) delta = -DI(u)`` (a chord step), if Armijo can
+    decide that direction's full step; any other step factorizes ``H(u)``.
+    On the CR space the report's ``stress`` is that of the last Newton
+    system: ``Dphi(grad u) + D2phi(grad u_f) grad delta``, with ``u_f = u``
+    after a fresh factorization.
     """
     def stop(state):
         return state.norms[-1] <= max(tol_abs, tol_rel * state.norms[0])
 
     return _descend(problem, u0, "newton", 0.0, stop,
-                    "residual below tolerance", max_iter)
+                    "residual below tolerance", max_iter, chord=True)
 
 
 #: Floor of the flow's Hessian ``d2phi(a, FLOOR)``, chosen by the CR step

@@ -395,6 +395,12 @@ def test_solver_defaults_follow_the_problem():
     assert cfg.solver_options == {}
 
 
+def test_newton_tolerance_flags_pass_through():
+    cfg = _config_from_args(build_parser().parse_args(
+        ["run", "--problem", "p-dirichlet", "--tol-abs", "5e-6"]))
+    assert cfg.solver_options == {"tol_abs": 5e-6, "tol_rel": 1e-10}
+
+
 def test_iteration_cap_flag_passes_through():
     cfg = _config_from_args(build_parser().parse_args(
         ["run", "--problem", "optimal-design", "--max-iter", "7"]))
@@ -476,6 +482,18 @@ def test_main_rejects_a_bad_solver_option(tmp_path, capsys, flags):
     err = _rejected(tmp_path, capsys, "--problem", "p-dirichlet", "--p", "1.6",
                     *flags)
     assert flags[0] in err
+
+
+@pytest.mark.parametrize("flags", [
+    ("optimal-design", "--tol-abs", "1e-8"),
+    ("p-dirichlet", "--solver", "flow", "--tol-rel", "1e-3")],
+    ids=["tol-abs-design", "tol-rel-flow"])
+def test_main_rejects_a_newton_tolerance_for_the_flow(tmp_path, capsys, flags):
+    # the flow stops on its own gap and decrease rules, so a tolerance
+    # given with it would be ignored
+    problem, *rest = flags
+    err = _rejected(tmp_path, capsys, "--problem", problem, *rest)
+    assert rest[-2] in err and "flow" in err
 
 
 def test_main_reports_a_solver_failure_with_status_1(tmp_path):

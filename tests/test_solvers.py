@@ -1,6 +1,7 @@
 """Tests for the nonlinear solvers and discrete problem assembly."""
 
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -221,8 +222,11 @@ def test_newton_orders_once_per_solve(splu_calls):
     splu_calls.clear()
     _, rep = newton_solve(prob, u0=u0, tol_abs=1e-8)
     assert rep.converged and rep.iterations > 2
+    # the steps on a kept factor make none, so there are fewer than steps
+    assert rep.factorizations < rep.iterations
     orderings = [ordering for ordering, _ in splu_calls]
-    assert orderings == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (rep.iterations - 1)
+    assert orderings == (["MMD_AT_PLUS_A"]
+                         + ["NATURAL"] * (rep.factorizations - 1))
 
 
 @pytest.mark.parametrize("space", ["cr", "p1"])
@@ -254,6 +258,132 @@ def test_flow_orders_again_when_the_pattern_changes(monkeypatch, splu_calls,
                         for a, b in zip(patterns, patterns[1:])]
     assert fresh == changed
     assert any(changed[1:]) and not all(changed)  # both cases occur
+
+
+# ---------------------------------------------------------------------------
+# Newton steps on a kept factor
+# ---------------------------------------------------------------------------
+
+def _spy_kept_steps(monkeypatch):
+    """``True`` for every step of the solves that follow that is taken on
+    a kept factor: no Hessian is assembled since the step before."""
+    kept, assembled = [], []
+    hessian, search = DiscreteProblem.hessian, solvers._line_search
+
+    def hessian_spy(self, u, floor=0.0):
+        assembled.append(True)
+        return hessian(self, u, floor)
+
+    def search_spy(*args):
+        kept.append(not assembled)
+        assembled.clear()
+        return search(*args)
+
+    monkeypatch.setattr(DiscreteProblem, "hessian", hessian_spy)
+    monkeypatch.setattr(solvers, "_line_search", search_spy)
+    return kept
+
+
+def _p12_newton(level=2):
+    """A p = 1.2 CR problem and its start: the p = 2 solution, as the
+    adaptive loop warm-starts."""
+    prob = _lshape_problem(p=1.2, level=level)
+    u0, _ = newton_solve(_lshape_problem(p=2.0, level=level), tol_abs=1e-12)
+    return prob, u0
+
+
+def test_kept_factor_step_hands_back_a_feasible_flux(monkeypatch):
+    # the stress of a step on the kept factor of H(u_f) solves the linear
+    # CR problem with the tensor d2phi(grad u_f), so Marini's identity
+    # holds; the solve is cut right after its last kept-factor step
+    prob, u0 = _p12_newton()
+    kept = _spy_kept_steps(monkeypatch)
+    newton_solve(prob, u0=u0, tol_abs=1e-9, tol_rel=0.0)
+    last = np.flatnonzero(kept)[-1]
+    kept.clear()
+    u, rep = newton_solve(prob, u0=u0, tol_abs=1e-9, tol_rel=0.0,
+                          max_iter=last + 1)
+    assert rep.iterations == len(kept) == last + 1 and kept[-1]
+    u_cr = prob.function(u)
+    z = marini_reconstruct(u_cr, prob.density, prob.load, stress=rep.stress)
+    assert np.max(np.abs(z.mismatch)) <= 1e-10 * np.max(np.abs(z.coeffs))
+    assert _feasible(z, prob.load)
+    dual = dual_energy(z, prob.density, prob.load, boundary_values=u,
+                       quadrature="mean")
+    assert np.isfinite(dual) and dual <= rep.energy
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_kept_factor_steps_follow_a_contracting_step(monkeypatch, level):
+    # the refresh rule: a step may reuse the factor only if the one before
+    # cut the free-residual norm to at most REFRESH of its value
+    prob, u0 = _p12_newton(level)
+    kept = _spy_kept_steps(monkeypatch)
+    _, rep = newton_solve(prob, u0=u0, tol_abs=1e-9, tol_rel=0.0)
+    norms = rep.residual_norms
+    assert rep.converged and len(kept) == rep.iterations
+    assert not kept[0] and any(kept)
+    for i in np.flatnonzero(kept):
+        assert norms[i] <= solvers.REFRESH * norms[i - 1]
+    assert rep.factorizations == kept.count(False)
+
+
+def test_p2_newton_makes_one_factorization(splu_calls):
+    _, rep = newton_solve(_lshape_problem(p=2.0, level=2))
+    assert rep.converged and rep.iterations == 1
+    assert rep.factorizations == len(splu_calls) == 1
+
+
+@pytest.mark.parametrize("space", ["cr", "p1"])
+def test_flow_factorizes_once_per_step(splu_calls, space):
+    mesh = uniform_refine(make_lshape_mesh(), 1)
+    f_h = PwConstant(mesh, np.ones(mesh.num_triangles))
+    prob = DiscreteProblem(mesh, OptimalDesignDensity(), f_h, space=space)
+    _, rep = gradient_flow_solve(prob, max_iter=8, dual=-np.inf)
+    assert rep.iterations > 1
+    assert rep.factorizations == rep.iterations == len(splu_calls)
+
+
+class _Factor:
+    """A SuperLU factor that can be weakly referenced."""
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
+def test_at_most_one_factor_is_alive(monkeypatch):
+    # each factor is freed before the next matrix is assembled
+    factors = []
+
+    def all_freed():
+        return all(factor() is None for factor in factors)
+
+    def spy(A, **kwargs):
+        assert all_freed()
+        lu = _Factor(_splu(A, **kwargs))
+        factors.append(weakref.ref(lu))
+        return lu
+
+    hessian = DiscreteProblem.hessian
+
+    def assemble(self, u, floor=0.0):
+        assert all_freed()
+        return hessian(self, u, floor)
+
+    prob, u0 = _p12_newton()
+    monkeypatch.setattr(solvers.spla, "splu", spy)
+    monkeypatch.setattr(DiscreteProblem, "hessian", assemble)
+    kept = _spy_kept_steps(monkeypatch)
+    _, rep = newton_solve(prob, u0=u0, tol_abs=1e-9, tol_rel=0.0)
+    assert any(kept) and len(factors) == rep.factorizations > 1
+    mesh = uniform_refine(make_lshape_mesh(), 1)
+    design = DiscreteProblem(mesh, OptimalDesignDensity(),
+                             PwConstant(mesh, np.ones(mesh.num_triangles)))
+    _, rep = gradient_flow_solve(design, max_iter=5)
+    assert rep.factorizations > 1 and all_freed()
 
 
 # ---------------------------------------------------------------------------

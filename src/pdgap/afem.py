@@ -25,7 +25,7 @@ from .estimators import (GapIndicators, ResidualIndicators, dual_energy,
                          eta_hat_sq, eta_res_sq, primal_energy, rho_F_sq,
                          rho_I_sq)
 from .fespaces import (CrFunction, P1Function, PwConstant, node_average,
-                       project_pw, prolong_cr)
+                       prolong_cr)
 from .mesh import Triangulation, refine
 from .quadrature import RULE_ORDER4
 from .reconstruction import MariniField, marini_reconstruct
@@ -105,9 +105,13 @@ class AfemProblem:
     exact_gradient: Callable | None = None
     label: str = ""
 
-    def load_means(self, mesh: Triangulation) -> PwConstant:
+    def load_means(self, mesh: Triangulation, points=None) -> PwConstant:
+        """Elementwise integral means of the load; a callable load is
+        integrated at ``points``, the order-4 rule's points on ``mesh``."""
         if callable(self.load):
-            return project_pw(mesh, self.load)
+            if points is None:
+                points = RULE_ORDER4.points(mesh.triangle_coords)
+            return PwConstant(mesh, self.load(points) @ RULE_ORDER4.weights)
         return PwConstant(mesh, np.full(mesh.num_triangles, float(self.load)))
 
     def side_dirichlet(self, mesh: Triangulation) -> np.ndarray | None:
@@ -291,15 +295,16 @@ def _trace_side_means(v: P1Function) -> np.ndarray:
     return 0.5 * (v.values[mesh.sides[:, 0]] + v.values[mesh.sides[:, 1]])
 
 
-def _error_columns(problem: AfemProblem,
-                   candidate: P1Function) -> tuple[float, float]:
+def _error_columns(problem: AfemProblem, candidate: P1Function,
+                   points: np.ndarray | None) -> tuple[float, float]:
     """The ``rho_sq`` and ``rho_I_sq`` columns of one level.  The exact
-    gradient is evaluated once and shared by both measures."""
+    gradient is evaluated once, at the order-4 ``points`` of the level
+    (built here if ``None``), and shared by both measures."""
     if problem.exact_gradient is None:
         return float("nan"), float("nan")
-    mesh = candidate.mesh
-    exact = np.asarray(problem.exact_gradient(
-        RULE_ORDER4.points(mesh.triangle_coords)), dtype=float)
+    if points is None:
+        points = RULE_ORDER4.points(candidate.mesh.triangle_coords)
+    exact = np.asarray(problem.exact_gradient(points), dtype=float)
     return (rho_F_sq(candidate, exact, problem.growth_exponent()),
             rho_I_sq(candidate, exact, problem.density))
 
@@ -338,7 +343,10 @@ def afem_run(problem: AfemProblem, cfg: AfemConfig) -> AfemTrace:
 
     for k in range(cfg.max_iterations):
         started = time.perf_counter()
-        f_h = problem.load_means(mesh)
+        # the level's order-4 points (built later if only rho needs them)
+        points = (RULE_ORDER4.points(mesh.triangle_coords)
+                  if callable(problem.load) else None)
+        f_h = problem.load_means(mesh, points)
         cr_problem = DiscreteProblem(mesh, problem.density, f_h, space="cr",
                                      dirichlet=problem.side_dirichlet(mesh))
         warm = (None if previous is None
@@ -375,7 +383,7 @@ def afem_run(problem: AfemProblem, cfg: AfemConfig) -> AfemTrace:
         dual = dual_energy(flux, problem.density, f_h,
                            boundary_values=_trace_side_means(candidate))
         seconds = time.perf_counter() - started
-        rho, rho_I = _error_columns(problem, candidate)
+        rho, rho_I = _error_columns(problem, candidate, points)
 
         trace.records.append(AfemRecord(
             k=k, N=mesh.num_vertices, elements=mesh.num_triangles,

@@ -39,17 +39,18 @@ __all__ = [
 class PDirichletExact(NamedTuple):
     """Evaluators of the exact solution ``r^delta sin(delta theta)``.
 
-    All three callables accept point arrays of shape (..., 2); ``value`` and
-    ``load`` return shape (...), ``gradient`` returns (..., 2).  The angle is
-    measured in (0, 2pi) around the reentrant corner at the origin, with the
-    branch cut along the positive x-axis (the slit edge of the removed
-    quadrant).  At the corner itself the value, gradient, and load are
-    returned as 0 by convention -- quadrature points never land there.
+    The callables accept point arrays of shape (..., 2); ``value`` and
+    ``load`` return shape (...), ``gradient`` returns (..., 2); a vanishing
+    load is the constant 0.0 instead.  The angle is measured in (0, 2pi)
+    around the reentrant corner at the origin, with the branch cut along
+    the positive x-axis (the slit edge of the removed quadrant).  At the
+    corner itself the value, gradient, and load are returned as 0 by
+    convention -- quadrature points never land there.
     """
 
     value: Callable
     gradient: Callable
-    load: Callable
+    load: Callable | float
     delta: float
 
 
@@ -68,7 +69,7 @@ def exact_solution_pdirichlet(p: float) -> PDirichletExact:
     ``u(r, theta) = r^delta sin(delta theta)`` with ``delta = (6/5)(1-1/p)``
     and the matching load ``f(r, theta) = -(2-p) delta^(p-1) (1-delta)
     r^((delta-1)(p-1)-1) sin(delta theta)``; the load vanishes identically
-    at p=2, where u is harmonic.
+    at p=2, where u is harmonic, and is then the constant 0.0.
     """
     if p <= 1.0:
         raise ValueError("the exponent must satisfy p > 1")
@@ -95,13 +96,12 @@ def exact_solution_pdirichlet(p: float) -> PDirichletExact:
 
     def load(points):
         r, theta = _polar(points)
-        if coefficient == 0.0:
-            return np.zeros_like(r)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = coefficient * r ** exponent * np.sin(delta * theta)
         return np.where(r > 0.0, out, 0.0)
 
-    return PDirichletExact(value, gradient, load, delta)
+    return PDirichletExact(value, gradient, load if coefficient else 0.0,
+                           delta)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,6 @@ Three discrete spaces are provided:
   normal component and elementwise form ``z(x) = a_T + b_T (x - x_T)``.
 
 Piecewise constants live in :class:`PwConstant` / :class:`PwConstantVector`.
-All evaluation helpers work on stacked per-triangle point arrays of shape
-``(nt, nq, 2)`` as produced by :meth:`pdgap.quadrature.TriangleRule.points`.
 """
 
 from __future__ import annotations
@@ -21,11 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Triangulation
-from .quadrature import RULE_ORDER4, TriangleRule
 
 __all__ = [
     "PwConstant", "PwConstantVector", "P1Function", "CrFunction", "Rt0Field",
-    "project_pw", "node_average", "side_jump", "vector_jump", "ibp_residual",
+    "node_average", "side_jump", "vector_jump", "ibp_residual",
     "prolong_cr",
 ]
 
@@ -148,13 +145,6 @@ class Rt0Field:
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-def project_pw(mesh: Triangulation, f, rule: TriangleRule = RULE_ORDER4) -> PwConstant:
-    """Elementwise integral means of ``f``, a callable on (..., 2) point
-    arrays, by the quadrature ``rule``."""
-    pts = rule.points(mesh.triangle_coords)
-    return PwConstant(mesh, np.asarray(f(pts), dtype=float) @ rule.weights)
-
 
 def node_average(v: CrFunction, dirichlet_values=None) -> P1Function:
     """Conforming approximation by arithmetic vertex averaging.

@@ -512,7 +512,7 @@ def _line_search(problem: DiscreteProblem, u: np.ndarray, step: np.ndarray,
             grad = None
         energy = problem.energy(x)
         target = energy0 + 1e-4 * t * slope
-        if energy <= target:
+        if energy <= target < energy0:
             break
         if target == energy0:
             # the decrease is below the energy's roundoff, so Armijo

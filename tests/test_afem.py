@@ -12,6 +12,7 @@ from pdgap.energy_models import OptimalDesignDensity, PPowerDensity
 from pdgap.estimators import primal_energy
 from pdgap.fespaces import PwConstant, node_average
 from pdgap.mesh import make_lshape_mesh, make_square_mesh
+from pdgap.quadrature import RULE_ORDER4, TriangleRule
 from pdgap.solvers import DiscreteProblem, newton_solve
 
 P2 = PPowerDensity(2.0)
@@ -20,6 +21,48 @@ P2 = PPowerDensity(2.0)
 def _lshape_problem(p=2.0, f=1.0):
     return AfemProblem(mesh=make_lshape_mesh(), density=PPowerDensity(p),
                        load=f, label="lshape")
+
+
+# ---------------------------------------------------------------------------
+# The load means and the quadrature points of a level
+# ---------------------------------------------------------------------------
+
+def _affine(x):
+    return 2.0 * x[..., 0] - 3.0 * x[..., 1] + 1.0
+
+
+def test_load_means_are_exact_for_affine_and_constant_loads():
+    mesh = make_lshape_mesh()
+    means = _lshape_problem(f=_affine).load_means(mesh)
+    assert np.allclose(means.values, _affine(mesh.barycenters))
+    points = RULE_ORDER4.points(mesh.triangle_coords)
+    given = _lshape_problem(f=_affine).load_means(mesh, points)
+    assert np.array_equal(given.values, means.values)
+    ones = _lshape_problem(f=lambda x: np.ones(x.shape[:-1])).load_means(mesh)
+    assert np.isclose(mesh.areas @ ones.values, 3.0)
+    constant = _lshape_problem(f=2.5).load_means(mesh)
+    assert np.array_equal(constant.values, np.full(mesh.num_triangles, 2.5))
+
+
+@pytest.mark.parametrize("spec, solver, per_level", [
+    (dict(problem="p-dirichlet", p=1.2), "newton", 1),  # load and rho
+    (dict(problem="p-dirichlet", p=2.0), "newton", 1),  # rho alone
+    (dict(problem="optimal-design"), "flow", 0),
+], ids=["p1.2", "p2", "design"])
+def test_a_level_builds_its_quadrature_points_at_most_once(
+        monkeypatch, spec, solver, per_level):
+    built = []  # the element count of every point set
+    points = TriangleRule.points
+
+    def spy(rule, vertices):
+        built.append(len(vertices))
+        return points(rule, vertices)
+
+    monkeypatch.setattr(TriangleRule, "points", spy)
+    trace = afem_run(BenchmarkSpec(**spec).make_problem(),
+                     AfemConfig(max_iterations=3, solver=solver))
+    assert not trace.failed and len(trace.records) == 3
+    assert built == per_level * trace.column("elements").tolist()
 
 
 # ---------------------------------------------------------------------------

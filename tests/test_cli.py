@@ -78,10 +78,12 @@ def test_gradient_matches_finite_differences():
 
 
 def test_load_vanishes_identically_for_quadratic_growth():
-    # p=2 is the harmonic case
-    exact = exact_solution_pdirichlet(2.0)
-    pts = np.array([[0.5, 0.5], [-0.3, -0.7], [0.0, 0.0]])
-    assert np.all(exact.load(pts) == 0.0)
+    # p=2 is the harmonic case: the load is the constant 0, whose means are
+    # exact zeros
+    assert exact_solution_pdirichlet(2.0).load == 0.0
+    problem = BenchmarkSpec(problem="p-dirichlet", p=2.0).make_problem()
+    means = problem.load_means(problem.mesh).values
+    assert np.array_equal(means, np.zeros(problem.mesh.num_triangles))
 
 
 def test_gradient_magnitude_is_radial_power():

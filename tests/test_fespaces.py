@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from pdgap.fespaces import (CrFunction, P1Function, PwConstantVector, Rt0Field,
-                            ibp_residual, node_average, project_pw,
-                            prolong_cr, side_jump, vector_jump)
+                            ibp_residual, node_average, prolong_cr,
+                            side_jump, vector_jump)
 from pdgap.mesh import make_lshape_mesh, refine
 
 
@@ -128,13 +128,6 @@ def test_node_average(lshape):
            for t in np.flatnonzero((m.triangles == vid).any(axis=1))]
     manual = np.mean([corner[t, i] for t, i in inc])
     assert np.isclose(forced.values[vid], manual)
-
-
-def test_project_pw(lshape):
-    m = lshape
-    assert np.allclose(project_pw(m, _affine).values, _affine(m.barycenters))
-    const = project_pw(m, lambda p: np.ones(p.shape[:-1]))
-    assert np.isclose(m.areas @ const.values, 3.0)
 
 
 def test_prolongation_exact_for_members(lshape):

@@ -696,6 +696,20 @@ def test_newton_line_search_meets_armijo_and_curvature(monkeypatch):
         assert np.all(np.diff(rep.energies)[decided] <= 0)
 
 
+def test_undecided_armijo_steps_lower_the_residual(monkeypatch):
+    # on the finest levels the Armijo target of a Newton step rounds to the
+    # energy itself; such a step is accepted only if it lowers the residual,
+    # even when its energy did not rise
+    u0, _ = newton_solve(_lshape_problem(p=2.0, level=3), tol_abs=1e-12)
+    calls = _spy_line_search(monkeypatch)
+    newton_solve(_lshape_problem(p=1.2, level=3), u0=u0, tol_abs=1e-8,
+                 tol_rel=0.0)
+    undecided = [(norm0, norm) for t, slope, energy0, _, _, norm0, norm
+                 in calls if not energy0 + 1e-4 * t * slope < energy0]
+    assert undecided  # the roundoff regime is reached
+    assert all(norm < norm0 for norm0, norm in undecided)
+
+
 #: Newton iterations of the test below when each step halved ``t`` until
 #: Armijo passed, instead of searching for the minimum along the direction.
 _HALVING_ITERATIONS = 47

@@ -105,12 +105,11 @@ class AfemProblem:
     exact_gradient: Callable | None = None
     label: str = ""
 
-    def load_means(self, mesh: Triangulation, points=None) -> PwConstant:
+    def load_means(self, mesh: Triangulation, points) -> PwConstant:
         """Elementwise integral means of the load; a callable load is
-        integrated at ``points``, the order-4 rule's points on ``mesh``."""
+        integrated at ``points``, the order-4 rule's points on ``mesh``
+        (unused, and may be ``None``, for a constant load)."""
         if callable(self.load):
-            if points is None:
-                points = RULE_ORDER4.points(mesh.triangle_coords)
             return PwConstant(mesh, self.load(points) @ RULE_ORDER4.weights)
         return PwConstant(mesh, np.full(mesh.num_triangles, float(self.load)))
 

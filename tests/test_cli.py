@@ -82,7 +82,7 @@ def test_load_vanishes_identically_for_quadratic_growth():
     # exact zeros
     assert exact_solution_pdirichlet(2.0).load == 0.0
     problem = BenchmarkSpec(problem="p-dirichlet", p=2.0).make_problem()
-    means = problem.load_means(problem.mesh).values
+    means = problem.load_means(problem.mesh, None).values
     assert np.array_equal(means, np.zeros(problem.mesh.num_triangles))
 
 

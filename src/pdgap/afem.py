@@ -33,8 +33,8 @@ from .solvers import DiscreteProblem, SolverReport, solve_problem
 
 __all__ = [
     "AfemConfig", "AfemProblem", "AfemRecord", "AfemTrace", "LevelState",
-    "afem_run", "check_solver", "conforming_candidate", "dorfler_mark",
-    "read_trace_csv", "write_csv",
+    "afem_run", "conforming_candidate", "dorfler_mark", "read_trace_csv",
+    "write_csv",
 ]
 
 _CONFORMING_MODES = ("minimize", "average")
@@ -308,13 +308,6 @@ def _error_columns(problem: AfemProblem, candidate: P1Function,
             rho_I_sq(candidate, exact, problem.density))
 
 
-def check_solver(density, solver: str) -> None:
-    """Reject Newton on the optimal-design density (:class:`ValueError`)."""
-    if solver == "newton" and isinstance(density, OptimalDesignDensity):
-        raise ValueError('the optimal-design density needs solver="flow": '
-                         "its Hessian is singular on the plateau")
-
-
 def afem_run(problem: AfemProblem, cfg: AfemConfig) -> AfemTrace:
     """Run the adaptive loop and record one trace row per iteration.
 
@@ -335,7 +328,10 @@ def afem_run(problem: AfemProblem, cfg: AfemConfig) -> AfemTrace:
     density raises ``ValueError`` before any level: its plateau Hessian is
     singular, so the last Newton system may have no solution.
     """
-    check_solver(problem.density, cfg.solver)
+    if cfg.solver == "newton" and isinstance(problem.density,
+                                             OptimalDesignDensity):
+        raise ValueError('the optimal-design density needs solver="flow": '
+                         "its Hessian is singular on the plateau")
     trace = AfemTrace(problem=problem.label)
     mesh = problem.mesh
     previous: CrFunction | None = None

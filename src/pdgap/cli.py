@@ -20,8 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .afem import (AfemConfig, AfemProblem, AfemTrace, afem_run,
-                   check_solver, write_csv)
+from .afem import AfemConfig, AfemProblem, AfemTrace, afem_run, write_csv
 from .energy_models import OptimalDesignDensity, PPowerDensity
 from .estimators import aitken_extrapolate
 from .mesh import Triangulation, load_mesh, make_lshape_mesh
@@ -311,15 +310,15 @@ def emit_plot(trace, columns, path, logy: bool = True,
 # ---------------------------------------------------------------------------
 
 def run_benchmark(spec: BenchmarkSpec, cfg: AfemConfig, out_dir,
-                  seed: int = 0, dump_indicators=None, dump_flux=None,
-                  dump_fields=None) -> int:
+                  seed: int = 0, dump: bool = False) -> int:
     """Run one benchmark and write ``trace.csv`` plus the two SVG plots.
 
     The estimator plot shows the gap ``eta_hat_sq``, the residual
-    ``eta_res_sq`` and the error ``rho_sq``.  Optional dump paths add CSVs
-    of the final level: per element ``eta_A``, ``eta_D_hat`` (they sum to
-    the gap indicator) and ``eta_res_sq``; per side the flux coefficient;
-    and per unknown the solution.
+    ``eta_res_sq`` and the error ``rho_sq``.  ``dump`` adds three CSVs of
+    the final level to ``out_dir``: ``indicators.csv``, per element
+    ``eta_A``, ``eta_D_hat`` (they sum to the gap indicator) and
+    ``eta_res_sq``; ``flux.csv``, per side the flux coefficient; and
+    ``fields.csv``, per unknown the nonconforming solution.
     Returns 0 on success and 1 (with a diagnostic on stderr) when the
     run failed (a nonlinear solver, or an infeasible flux); the partial
     trace is still written.
@@ -339,17 +338,16 @@ def run_benchmark(spec: BenchmarkSpec, cfg: AfemConfig, out_dir,
                   out / "energies_vs_N.svg", logy=False, guide_slope=None,
                   title=f"energies vs N ({trace.problem})")
     level = trace.final
-    if level is not None:
-        dumps = ((dump_indicators, ("element_id", "eta_A", "eta_D_hat",
-                                    "eta_res_sq"),
+    if dump and level is not None:
+        dumps = (("indicators.csv", ("element_id", "eta_A", "eta_D_hat",
+                                     "eta_res_sq"),
                   (level.indicators.eta_A_sq, level.indicators.eta_D_hat_sq,
                    level.residual.eta_res_sq)),
-                 (dump_flux, ("side_id", "coeff"), (level.flux.coeffs,)),
-                 (dump_fields, ("dof_id", "value"), (level.u_cr.values,)))
-        for path, header, columns in dumps:
-            if path:
-                write_csv(path, header,
-                          zip(range(len(columns[0])), *columns))
+                 ("flux.csv", ("side_id", "coeff"), (level.flux.coeffs,)),
+                 ("fields.csv", ("dof_id", "value"), (level.u_cr.values,)))
+        for name, header, columns in dumps:
+            write_csv(out / name, header,
+                      zip(range(len(columns[0])), *columns))
     if trace.failed:
         print(f"error: {trace.failure_reason}", file=sys.stderr)
         return 1
@@ -383,51 +381,45 @@ def build_parser() -> argparse.ArgumentParser:
                      default="minimize")
     run.add_argument("--mark-with", dest="mark_with",
                      choices=["pd", "residual"], default="pd")
-    run.add_argument("--solver", choices=["newton", "flow"], default=None,
-                     help="default: newton (p-dirichlet), flow "
-                          "(optimal-design)")
     run.add_argument("--mesh", default=None,
                      help="initial mesh file (default: L-shape)")
     run.add_argument("--out-dir", dest="out_dir", default=".")
-    run.add_argument("--dump-indicators", dest="dump_indicators",
-                     metavar="PATH", default=None)
-    run.add_argument("--dump-flux", dest="dump_flux", metavar="PATH",
-                     default=None)
-    run.add_argument("--dump-fields", dest="dump_fields", metavar="PATH",
-                     default=None)
+    run.add_argument("--dump", action="store_true",
+                     help="also write the final level's indicators.csv, "
+                          "flux.csv and fields.csv to --out-dir")
     run.add_argument("--interior-node", dest="interior_node",
                      action="store_true")
     run.add_argument("--tol-abs", dest="tol_abs", type=float, default=None,
-                     help="Newton only; default 1e-8")
-    run.add_argument("--tol-rel", dest="tol_rel", type=float, default=None,
-                     help="Newton only; default 1e-10")
+                     help="Newton (p-dirichlet) only; default 1e-8")
     run.add_argument("--max-iter", dest="max_iter", type=int, default=None)
     return parser
 
 
 def _config_from_args(args) -> AfemConfig:
-    solver = args.solver
-    if solver is None:
-        solver = "flow" if args.problem == "optimal-design" else "newton"
-    given = {"--tol-abs": args.tol_abs, "--tol-rel": args.tol_rel}
-    for flag, tol in given.items():
-        if tol is None:
-            continue
-        if solver == "flow":
-            raise ValueError(f"{flag} is a Newton tolerance; the flow solver "
-                             "stops on its own rules")
-        if not (np.isfinite(tol) and tol >= 0.0):
-            raise ValueError(f"{flag} must be finite and nonnegative")
+    """The run's configuration.  The problem fixes the solver: the flow
+    for optimal design, whose density is degenerate on its plateau, and
+    Newton for the p-power model, with ``tol_rel = 1e-10`` and ``tol_abs``
+    from ``--tol-abs`` (default 1e-8).  ``--tol-abs`` with optimal design,
+    a non-finite or negative ``--tol-abs`` and a negative ``--max-iter``
+    raise :class:`ValueError`."""
+    flow = args.problem == "optimal-design"
+    if args.tol_abs is not None:
+        if flow:
+            raise ValueError("--tol-abs is a Newton tolerance; the flow "
+                             "solver of optimal design stops on its own rules")
+        if not (np.isfinite(args.tol_abs) and args.tol_abs >= 0.0):
+            raise ValueError("--tol-abs must be finite and nonnegative")
     if args.max_iter is not None and args.max_iter < 0:
         raise ValueError("--max-iter must be nonnegative")
     options = {}
-    if solver == "newton":
+    if not flow:
         options = {"tol_abs": 1e-8 if args.tol_abs is None else args.tol_abs,
-                   "tol_rel": 1e-10 if args.tol_rel is None else args.tol_rel}
+                   "tol_rel": 1e-10}
     if args.max_iter is not None:
         options["max_iter"] = args.max_iter
     return AfemConfig(theta=args.theta, max_iterations=args.iters,
-                      conforming=args.conforming, solver=solver,
+                      conforming=args.conforming,
+                      solver="flow" if flow else "newton",
                       solver_options=options, mark_with=args.mark_with,
                       uniform=args.uniform, interior_node=args.interior_node)
 
@@ -439,14 +431,10 @@ def main(argv=None) -> int:
         spec = BenchmarkSpec(problem=args.problem, p=args.p, mu1=args.mu1,
                              mu2=args.mu2, lam=args.lam, mesh=mesh)
         cfg = _config_from_args(args)
-        check_solver(spec.make_problem().density, cfg.solver)
     except (OSError, ValueError) as exc:
         print(f"pdgap run: error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
-    return run_benchmark(spec, cfg, args.out_dir,
-                         dump_indicators=args.dump_indicators,
-                         dump_flux=args.dump_flux,
-                         dump_fields=args.dump_fields)
+    return run_benchmark(spec, cfg, args.out_dir, dump=args.dump)
 
 
 if __name__ == "__main__":

@@ -26,7 +26,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .energy_models import check_fenchel_young, fmap
-from .fespaces import CrFunction, P1Function, PwConstant, Rt0Field
+from .fespaces import (CrFunction, P1Function, PwConstant, PwConstantVector,
+                       Rt0Field, vector_jump)
 from .mesh import NEUMANN
 from .quadrature import RULE_ORDER4, TriangleRule, integrate
 
@@ -216,15 +217,12 @@ def eta_res_sq(u_c: P1Function, f_h: PwConstant,
                       np.where(base > 0.0, base, 1.0) ** (q - 2.0), 0.0)
     eta_E = weight * h ** 2 * fmag ** 2 * mesh.areas
 
-    flux = fmap(p, grads)                       # (nt, 2) per element
-    jump = np.zeros((mesh.num_sides, 2))
-    t_minus, t_plus = mesh.side_tris[:, 0], mesh.side_tris[:, 1]
-    interior = t_plus >= 0
-    jump[interior] = flux[t_minus[interior]] - flux[t_plus[interior]]
+    flux = PwConstantVector(mesh, fmap(p, grads))
+    interior = (mesh.side_tris[:, 1] >= 0)[:, None]
+    jump = np.where(interior, vector_jump(flux), 0.0)  # 0 on boundary sides
     eta_J = mesh.side_lengths ** 2 * np.sum(jump ** 2, axis=-1)  # h_S |S| = |S|^2
 
-    per_side_charge = np.where(interior, eta_J, 0.0)
-    eta_res = eta_E + per_side_charge[mesh.tri_sides].sum(axis=1)
+    eta_res = eta_E + eta_J[mesh.tri_sides].sum(axis=1)
     return ResidualIndicators(eta_E, eta_J, eta_res)
 
 

@@ -88,11 +88,12 @@ class AfemProblem:
     ``load`` is either a constant or a callable on point arrays; it is
     projected to its elementwise integral means on every mesh.  ``dirichlet``
     (callable or ``None`` for homogeneous data) supplies boundary values,
-    evaluated at side midpoints for the nonconforming space and at vertices
-    for the conforming one.  ``exact_gradient`` enables the two
-    distance-to-exact error columns: ``rho_sq``, the F-metric error
-    (:func:`~pdgap.estimators.rho_F_sq`), and ``rho_I_sq``, the energy
-    distance (:func:`~pdgap.estimators.rho_I_sq`).  The constant-free gap
+    evaluated at the Dirichlet side midpoints for the nonconforming space
+    and at the Dirichlet vertices for the conforming one.
+    ``exact_gradient`` enables the two distance-to-exact error columns:
+    ``rho_sq``, the F-metric error (:func:`~pdgap.estimators.rho_F_sq`),
+    and ``rho_I_sq``, the energy distance
+    (:func:`~pdgap.estimators.rho_I_sq`).  The constant-free gap
     bound is about ``rho_I_sq``; for p < 2 ``rho_sq`` may exceed the
     estimator; without it both columns are not-a-number.  The residual
     indicators and the F-metric use the density's exponent ``p``, or 2.
@@ -113,15 +114,21 @@ class AfemProblem:
             return PwConstant(mesh, self.load(points) @ RULE_ORDER4.weights)
         return PwConstant(mesh, np.full(mesh.num_triangles, float(self.load)))
 
-    def side_dirichlet(self, mesh: Triangulation) -> np.ndarray | None:
-        if self.dirichlet is None:
-            return None
-        return np.asarray(self.dirichlet(mesh.side_midpoints), dtype=float)
+    def side_dirichlet(self, mesh: Triangulation) -> np.ndarray:
+        return self._dirichlet_at(mesh.side_midpoints,
+                                  mesh.dirichlet_side_mask)
 
     def vertex_dirichlet(self, mesh: Triangulation) -> np.ndarray:
-        if self.dirichlet is None:
-            return np.zeros(mesh.num_vertices)
-        return np.asarray(self.dirichlet(mesh.vertices), dtype=float)
+        return self._dirichlet_at(mesh.vertices, mesh.dirichlet_vertex_mask)
+
+    def _dirichlet_at(self, points: np.ndarray,
+                      mask: np.ndarray) -> np.ndarray:
+        """The data at the ``points`` where ``mask`` holds, the only entries
+        a solver or an average reads; zero elsewhere and for ``None``."""
+        values = np.zeros(mask.size)
+        if self.dirichlet is not None:
+            values[mask] = self.dirichlet(points[mask])
+        return values
 
     def growth_exponent(self) -> float:
         return float(getattr(self.density, "p", 2.0))
@@ -240,7 +247,7 @@ def dorfler_mark(indicators, theta: float) -> np.ndarray:
     total = float(vals.sum())
     if total <= 0.0:
         return np.empty(0, dtype=int)
-    order = np.lexsort((np.arange(vals.size), -vals))
+    order = np.argsort(-vals, kind="stable")
     csum = np.cumsum(vals[order])
     target = theta ** 2 * total
     first = int(np.searchsorted(csum, target, side="left"))
@@ -359,8 +366,7 @@ def afem_run(problem: AfemProblem, cfg: AfemConfig) -> AfemTrace:
                 f"({report.stop_reason}, residual {report.residual_norms[-1]:.3e})")
             break
         u_cr = CrFunction(mesh, state)
-        flux = marini_reconstruct(u_cr, problem.density, f_h,
-                                  stress=report.stress)
+        flux = marini_reconstruct(report.stress, f_h)
         candidate, conf_report = conforming_candidate(
             u_cr, problem.density, f_h, mode=cfg.conforming,
             vertex_dirichlet=vertex_dirichlet,

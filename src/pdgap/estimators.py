@@ -21,7 +21,7 @@ callers can surface them in traces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -230,49 +230,38 @@ def eta_res_sq(u_c: P1Function, f_h: PwConstant,
 # Error measures and extrapolation
 # ---------------------------------------------------------------------------
 
-def _at_rule_points(exact_grad: Callable | np.ndarray, mesh,
-                    rule: TriangleRule) -> np.ndarray:
-    """Exact gradient at the rule points, shape ``(nt, nq, 2)``: evaluated
-    if ``exact_grad`` is a callable, taken as given otherwise."""
-    if callable(exact_grad):
-        exact_grad = exact_grad(rule.points(mesh.triangle_coords))
-    return np.asarray(exact_grad, dtype=float)
-
-
-def rho_F_sq(u_tilde: P1Function | CrFunction,
-             exact_grad: Callable | np.ndarray, p: float,
-             rule: TriangleRule = RULE_ORDER4) -> float:
+def rho_F_sq(u_tilde: P1Function | CrFunction, exact_grad: np.ndarray,
+             p: float, rule: TriangleRule = RULE_ORDER4) -> float:
     """Squared distance of nonlinear flux maps, ``||F(grad u) - F(grad
     u_tilde)||^2`` over the mesh; reduces to the squared gradient-error
     norm at p=2.  Pass the order-8 rule from :mod:`pdgap.quadrature` for a
     high-order cross-check.
 
-    ``exact_grad`` is a callable on point arrays or its values at the rule
-    points.  The constant-free gap bound is not about this quantity but
-    about :func:`rho_I_sq`; for p < 2 the two agree only up to a
-    p-dependent factor, and at p = 2 this one is exactly twice the other.
+    ``exact_grad`` holds the exact gradient's values at the rule points,
+    ``(nt, nq, 2)``, i.e. evaluated at ``rule.points(mesh.triangle_coords)``.
+    The constant-free gap bound is not about this quantity but about
+    :func:`rho_I_sq`; for p < 2 the two agree only up to a p-dependent
+    factor, and at p = 2 this one is exactly twice the other.
     """
     mesh = u_tilde.mesh
-    eg = _at_rule_points(exact_grad, mesh, rule)
-    F_exact = fmap(p, eg)
+    F_exact = fmap(p, np.asarray(exact_grad, dtype=float))
     F_disc = fmap(p, u_tilde.gradients())[:, None, :]
     diff = np.sum((F_exact - F_disc) ** 2, axis=-1)
     return float(np.sum(integrate(rule, mesh.areas, diff)))
 
 
-def rho_I_sq(u_tilde: P1Function | CrFunction,
-             exact_grad: Callable | np.ndarray, density,
-             rule: TriangleRule = RULE_ORDER4) -> float:
+def rho_I_sq(u_tilde: P1Function | CrFunction, exact_grad: np.ndarray,
+             density, rule: TriangleRule = RULE_ORDER4) -> float:
     """Energy distance ``int sigma_phi(grad u_tilde, grad u) dx`` with
     ``sigma_phi(a, b) = phi(a) - phi(b) - Dphi(b).(a - b)``.
 
     Here ``u`` is the exact minimizer.  This is the error measure that
     the primal-dual gap bounds without a constant, up to the data terms.
-    ``exact_grad`` is a callable on point arrays or its values at the rule
-    points.
+    ``exact_grad`` holds the exact gradient's values at the rule points, as
+    for :func:`rho_F_sq`.
     """
     mesh = u_tilde.mesh
-    eg = _at_rule_points(exact_grad, mesh, rule)
+    eg = np.asarray(exact_grad, dtype=float)
     grads = u_tilde.gradients()
     sigma = (density.phi(grads)[:, None] - density.phi(eg)
              - np.einsum("tqd,tqd->tq", density.dphi(eg),

@@ -156,8 +156,8 @@ def node_average(v: CrFunction, dirichlet_values=None) -> P1Function:
     """
     mesh = v.mesh
     corner = v.triangle_vertex_values()
-    sums = np.zeros(mesh.num_vertices)
-    np.add.at(sums, mesh.triangles.ravel(), corner.ravel())
+    sums = np.bincount(mesh.triangles.ravel(), weights=corner.ravel(),
+                       minlength=mesh.num_vertices)
     counts = np.bincount(mesh.triangles.ravel(), minlength=mesh.num_vertices)
     averaged = sums / counts
     if dirichlet_values is not None:

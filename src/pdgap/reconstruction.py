@@ -1,8 +1,7 @@
-"""Explicit dual flux reconstruction from a nonconforming primal solution.
+"""Explicit dual flux reconstruction from an elementwise stress.
 
-Given a Crouzeix-Raviart function u, an elementwise-constant stress sigma
-and an elementwise-constant load f_h, the reconstructed flux is, per
-element,
+Given an elementwise-constant stress sigma and an elementwise-constant
+load f_h, the reconstructed flux is, per element,
 
     z|_T(x) = sigma_T - f_T (x - x_T) / 2,
 
@@ -16,9 +15,9 @@ last linear solve (:attr:`~pdgap.solvers.SolverReport.stress`),
 ``Dphi(grad u) + T grad delta`` with ``T`` the Hessian (floored in the
 flow).  That flux is feasible for every iterate, not only at the discrete
 minimizer, and its normal mismatch is a roundoff diagnostic at the level
-of the linear solve's backward error.  The default
-stress ``Dphi(grad u)`` gives a feasible flux only at an exact discrete
-minimizer.
+of the linear solve's backward error.  The gradient stress
+``Dphi(grad u)`` of a CR function ``u`` gives a feasible flux only at an
+exact discrete minimizer.
 
 A single coefficient per side is extracted by evaluating the normal
 component from the adjacent element with the smaller index.  The mismatch
@@ -95,19 +94,18 @@ def _candidate_normal_fluxes(mesh, element_a, element_b) -> np.ndarray:
     return vx * mesh.side_normals[sides, 0] + vy * mesh.side_normals[sides, 1]
 
 
-def marini_reconstruct(u: CrFunction, density, f_h: PwConstant,
-                       stress: np.ndarray | None = None) -> MariniField:
-    """Reconstruct the dual flux ``stress - f_h (x - x_T)/2``.
+def marini_reconstruct(stress: np.ndarray, f_h: PwConstant) -> MariniField:
+    """Reconstruct the dual flux ``stress - f_h (x - x_T)/2`` on ``f_h.mesh``.
 
     ``stress`` is the (nt, 2) elementwise stress of a linear CR solve, as
-    in :attr:`~pdgap.solvers.SolverReport.stress`; the default
-    ``dphi(grad u)`` is exact only at the discrete minimizer.
+    in :attr:`~pdgap.solvers.SolverReport.stress`; the gradient stress
+    ``density.dphi(u.gradients())`` gives a feasible flux only at the
+    discrete minimizer.  Any other shape raises :class:`ValueError`.
     """
-    mesh = u.mesh
-    if f_h.mesh is not mesh:
-        raise ValueError("load and function live on different meshes")
-    element_a = density.dphi(u.gradients()) if stress is None \
-        else np.asarray(stress, dtype=float)
+    mesh = f_h.mesh
+    element_a = np.asarray(stress, dtype=float)
+    if element_a.shape != (mesh.num_triangles, 2):
+        raise ValueError("stress must have shape (number of elements, 2)")
     element_b = -0.5 * f_h.values
 
     cand = _candidate_normal_fluxes(mesh, element_a, element_b)

@@ -44,7 +44,7 @@ matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -261,9 +261,8 @@ class DiscreteProblem:
         cell = self.mesh.areas[:, None] * (
             np.einsum("td,tjd->tj", stress, self.basis_grads)
             - self.load.values[:, None] / 3.0)
-        out = np.zeros(self.num_dofs)
-        np.add.at(out, self.dof_map.ravel(), cell.ravel())
-        return out
+        return np.bincount(self.dof_map.ravel(), weights=cell.ravel(),
+                           minlength=self.num_dofs)
 
     def hessian(self, u: np.ndarray, floor: float = 0.0) -> sp.csc_matrix:
         """Free-dof matrix (CSC) of the elementwise tensor
@@ -339,14 +338,16 @@ class SolverReport:
     #: the flow; Newton's kept-factor steps make none (see :func:`_descend`).
     factorizations: int = 0
     #: (nt, 2) elementwise stress of the last linear solve (CR space only):
-    #: ``marini_reconstruct(u, density, f_h, stress=stress)`` is a flux in
-    #: RT0 with ``div z = -f_h``, whether or not the solve converged.
+    #: ``marini_reconstruct(stress, f_h)`` is a flux in RT0 with ``div z =
+    #: -f_h``, whether or not the solve converged; the gradient stress of
+    #: the iterate gives one only at the discrete minimizer.
     stress: np.ndarray | None = None
 
 
 @dataclass
 class _Descent:
-    """What a stop rule sees: iterate, norms, energies, lazy stress."""
+    """What a stop rule sees: iterate, norms, energies, lazy stress (the
+    step's, computed once however often it is called)."""
 
     u: np.ndarray
     norms: list[float]
@@ -421,7 +422,7 @@ def _descend(problem: DiscreteProblem, u0, method: str, floor: float, stop,
         if step is None:
             step = fresh(residual)
         slope = float(residual @ step)
-        state.stress = partial(stress, state.u, origin, step)
+        state.stress = cache(partial(stress, state.u, origin, step))
         if slope >= 0:  # not a descent direction; fall back to steepest descent
             step = -residual
             slope = -float(residual @ residual)
@@ -614,16 +615,16 @@ def _gap_below_tolerance(problem: DiscreteProblem, u: np.ndarray,
     (see :func:`gradient_flow_solve`); ``energy`` is ``I_h(u)``.  Its
     roundoff allowance ``1e-12 (|I_h| + |D_h|)`` lets an exactly solved
     level stop; a flux that fails the feasibility test never stops it."""
-    u_cr = CrFunction(problem.mesh, u)
-    z = marini_reconstruct(u_cr, problem.density, problem.load, stress=stress)
+    z = marini_reconstruct(stress, problem.load)
     dual = dual_energy(z, problem.density, problem.load, boundary_values=u,
                        quadrature="mean")
     if not np.isfinite(dual):
         return False
     gv = (np.zeros(problem.mesh.num_vertices) if vertex_dirichlet is None
           else vertex_dirichlet)
-    eta_bar_sq = eta_hat_sq(node_average(u_cr, dirichlet_values=gv), z,
-                            problem.density, problem.load).eta_hat_sq_total
+    candidate = node_average(CrFunction(problem.mesh, u), dirichlet_values=gv)
+    eta_bar_sq = eta_hat_sq(candidate, z, problem.density,
+                            problem.load).eta_hat_sq_total
     roundoff = 1e-12 * (abs(energy) + abs(dual))
     return energy - dual <= GAMMA * eta_bar_sq + roundoff
 

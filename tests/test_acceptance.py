@@ -268,7 +268,7 @@ def test_3_duality_round_trip():
                                      max_iter=200)
             converged = converged and report.converged
             u_fn = prob.function(u)
-            z = marini_reconstruct(u_fn, density, f_h)
+            z = marini_reconstruct(density.dphi(u_fn.gradients()), f_h)
             dr = verify_discrete_optimality(u_fn, z, density, f_h)
 
             worst_div = max(worst_div, dr.max_div_defect)

@@ -11,7 +11,8 @@ from pdgap.cli import BenchmarkSpec
 from pdgap.energy_models import OptimalDesignDensity, PPowerDensity
 from pdgap.estimators import primal_energy
 from pdgap.fespaces import PwConstant, node_average
-from pdgap.mesh import make_lshape_mesh, make_square_mesh
+from pdgap.mesh import (Triangulation, make_lshape_mesh,
+                        make_square_mesh)
 from pdgap.quadrature import RULE_ORDER4, TriangleRule
 from pdgap.solvers import DiscreteProblem, newton_solve
 
@@ -40,6 +41,41 @@ def test_load_means_are_exact_for_affine_and_constant_loads():
     assert np.isclose(mesh.areas @ ones.load_means(mesh, points).values, 3.0)
     constant = _lshape_problem(f=2.5).load_means(mesh, None)
     assert np.array_equal(constant.values, np.full(mesh.num_triangles, 2.5))
+
+
+def test_dirichlet_data_is_evaluated_only_where_it_is_constrained():
+    # a square with two Neumann sides: the data is read at the Dirichlet
+    # side midpoints and vertices only, and every other entry is zero
+    square = make_square_mesh(4)
+    labels = {tuple(square.sides[s].tolist()):
+              "N" if np.all(square.vertices[square.sides[s], 0] == 1.0)
+              or np.all(square.vertices[square.sides[s], 1] == 1.0) else "D"
+              for s in square.boundary_side_ids}
+    mesh = Triangulation(square.vertices, square.triangles, labels)
+    seen = []
+
+    def g(x):
+        seen.append(len(x))
+        return _affine(x)
+
+    problem = AfemProblem(mesh=mesh, density=PPowerDensity(2.0), load=1.0,
+                          dirichlet=g)
+    sides = problem.side_dirichlet(mesh)
+    vertices = problem.vertex_dirichlet(mesh)
+    assert seen == [mesh.dirichlet_side_mask.sum(),
+                    mesh.dirichlet_vertex_mask.sum()]
+    for values, points, mask in (
+            (sides, mesh.side_midpoints, mesh.dirichlet_side_mask),
+            (vertices, mesh.vertices, mesh.dirichlet_vertex_mask)):
+        assert 0 < mask.sum() < mask.size
+        assert np.array_equal(values[mask], _affine(points[mask]))
+        assert np.all(values[~mask] == 0.0)
+    homogeneous = _lshape_problem()
+    lshape = homogeneous.mesh
+    assert np.array_equal(homogeneous.side_dirichlet(lshape),
+                          np.zeros(lshape.num_sides))
+    assert np.array_equal(homogeneous.vertex_dirichlet(lshape),
+                          np.zeros(lshape.num_vertices))
 
 
 @pytest.mark.parametrize("spec, solver, per_level", [
@@ -224,8 +260,8 @@ def test_infeasible_flux_stops_the_run_after_its_row(monkeypatch):
     # feasibility test: the level's row is recorded, then the run stops
     reconstruct = afem.marini_reconstruct
 
-    def scaled_stress(u, density, load, stress):
-        return reconstruct(u, density, load, stress=1.5 * stress)
+    def scaled_stress(stress, load):
+        return reconstruct(1.5 * stress, load)
 
     monkeypatch.setattr(afem, "marini_reconstruct", scaled_stress)
     trace = afem_run(_lshape_problem(p=1.6), AfemConfig(max_iterations=3))

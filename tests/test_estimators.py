@@ -49,7 +49,7 @@ def _converged_pair(p=1.6, level=0):
     state, rep = newton_solve(prob, u0=u0, tol_abs=tol, tol_rel=0.0)
     assert rep.converged
     u_cr = prob.function(state)
-    z = marini_reconstruct(u_cr, density, f_h)
+    z = marini_reconstruct(rep.stress, f_h)
     u_tilde = node_average(u_cr, dirichlet_values=np.zeros(mesh.num_vertices))
     return mesh, f_h, density, u_cr, z, u_tilde
 
@@ -102,7 +102,7 @@ def test_breakdown_invariants_random_pairs():
             u_cr = CrFunction(mesh, rng.normal(size=mesh.num_sides))
             # one flow step from a random state: feasible, far from optimal
             _, rep = gradient_flow_solve(prob, u0=u_cr.values, max_iter=1)
-            z = marini_reconstruct(u_cr, density, f_h, stress=rep.stress)
+            z = marini_reconstruct(rep.stress, f_h)
             u_tilde = P1Function(mesh, rng.normal(size=mesh.num_vertices))
             bd = eta_hat_sq(u_tilde, z, density, f_h)
             assert np.all(bd.eta_A_sq >= 0.0)
@@ -140,8 +140,8 @@ def test_neumann_normal_flux_is_infeasible():
         assert dual_energy(z, P2, f_h, quadrature=quadrature) == -np.inf
     # the Marini flux of the discrete minimizer has z.n = 0 there
     prob = DiscreteProblem(mesh, P2, f_h, space="cr")
-    state, _ = newton_solve(prob)
-    assert _feasible(marini_reconstruct(prob.function(state), P2, f_h), f_h)
+    _, rep = newton_solve(prob)
+    assert _feasible(marini_reconstruct(rep.stress, f_h), f_h)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +267,7 @@ def test_one_primal_energy_kernel(space, density):
         assert energy == primal_energy(v, density, f_h) == inline
         if space == "cr":
             _, rep = gradient_flow_solve(prob, u0=u, max_iter=1)
-            z = marini_reconstruct(v, density, f_h, stress=rep.stress)
+            z = marini_reconstruct(rep.stress, f_h)
             report = verify_discrete_optimality(v, z, density, f_h)
             assert report.primal == energy
             diri = np.flatnonzero(mesh.dirichlet_side_mask)
@@ -360,12 +360,22 @@ def test_residual_rejects_bad_exponent():
 # F-metric error
 # ---------------------------------------------------------------------------
 
+def _at_points(exact_grad, mesh, rule=RULE_ORDER4):
+    """Values of the callable ``exact_grad`` at the rule's points."""
+    return exact_grad(rule.points(mesh.triangle_coords))
+
+
+def _constant_at_points(grad, mesh):
+    """The constant gradient ``grad`` at every order-4 point."""
+    return np.broadcast_to(grad, (mesh.num_triangles, RULE_ORDER4.npoints, 2))
+
+
 def test_rho_F_exact_affine_is_zero():
     mesh = make_lshape_mesh()
     grad = np.array([1.2, -0.4])
     u = P1Function(mesh, mesh.vertices @ grad)
     for p in (2.0, 1.6):
-        val = rho_F_sq(u, lambda x: np.broadcast_to(grad, x.shape), p)
+        val = rho_F_sq(u, _constant_at_points(grad, mesh), p)
         assert val == pytest.approx(0.0, abs=1e-28)
 
 
@@ -373,30 +383,27 @@ def test_rho_F_p2_is_gradient_error_norm():
     mesh = make_lshape_mesh()
     u = P1Function(mesh, np.zeros(mesh.num_vertices))
     grad = np.array([1.0, 2.0])
-    val = rho_F_sq(u, lambda x: np.broadcast_to(grad, x.shape), p=2.0)
+    val = rho_F_sq(u, _constant_at_points(grad, mesh), p=2.0)
     assert val == pytest.approx(3.0 * 5.0, rel=1e-14)  # |Omega| |grad|^2
+
+
+def _smooth_exact_grad(x):
+    return np.stack((np.sin(x[..., 0]), x[..., 1] ** 2), axis=-1)
 
 
 def test_rho_F_order8_cross_check():
     mesh = make_lshape_mesh()
     rng = np.random.default_rng(17)
     u = P1Function(mesh, rng.normal(size=mesh.num_vertices))
-
-    def exact_grad(x):
-        return np.stack((np.sin(x[..., 0]), x[..., 1] ** 2), axis=-1)
-
-    low = rho_F_sq(u, exact_grad, p=1.6)
-    high = rho_F_sq(u, exact_grad, p=1.6, rule=RULE_ORDER8)
+    low = rho_F_sq(u, _at_points(_smooth_exact_grad, mesh), p=1.6)
+    high = rho_F_sq(u, _at_points(_smooth_exact_grad, mesh, RULE_ORDER8),
+                    p=1.6, rule=RULE_ORDER8)
     assert high == pytest.approx(low, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
 # Energy-distance error
 # ---------------------------------------------------------------------------
-
-def _smooth_exact_grad(x):
-    return np.stack((np.sin(x[..., 0]), x[..., 1] ** 2), axis=-1)
-
 
 def test_rho_I_own_gradient_is_zero():
     mesh = make_lshape_mesh()
@@ -413,9 +420,10 @@ def test_rho_I_nonnegative_on_random_fields(p):
     rng = np.random.default_rng(23)
     density = PPowerDensity(p)
     mesh = make_lshape_mesh()
+    exact = _at_points(_smooth_exact_grad, mesh)
     for _ in range(5):
         u = P1Function(mesh, rng.normal(size=mesh.num_vertices))
-        assert rho_I_sq(u, _smooth_exact_grad, density) >= 0.0
+        assert rho_I_sq(u, exact, density) >= 0.0
     # one element: each value integrates sigma_phi over just six points,
     # with exact gradients near to and far from the candidate's
     for scale in (1e-3, 1e-1, 1.0, 10.0):
@@ -431,8 +439,9 @@ def test_rho_I_is_half_rho_F_at_p2():
     mesh = make_lshape_mesh()
     rng = np.random.default_rng(31)
     u = P1Function(mesh, rng.normal(size=mesh.num_vertices))
-    energy = rho_I_sq(u, _smooth_exact_grad, P2)
-    flux = rho_F_sq(u, _smooth_exact_grad, p=2.0)
+    exact = _at_points(_smooth_exact_grad, mesh)
+    energy = rho_I_sq(u, exact, P2)
+    flux = rho_F_sq(u, exact, p=2.0)
     assert energy == pytest.approx(0.5 * flux, rel=1e-12)
 
 
@@ -441,23 +450,12 @@ def test_rho_I_order8_cross_check():
     rng = np.random.default_rng(17)
     u = P1Function(mesh, rng.normal(size=mesh.num_vertices))
     density = PPowerDensity(1.6)
-    low = rho_I_sq(u, _smooth_exact_grad, density)
-    high = rho_I_sq(u, _smooth_exact_grad, density, rule=RULE_ORDER8)
+    low = rho_I_sq(u, _at_points(_smooth_exact_grad, mesh), density)
+    high = rho_I_sq(u, _at_points(_smooth_exact_grad, mesh, RULE_ORDER8),
+                    density, rule=RULE_ORDER8)
     # the difference is the order-4 quadrature error (5e-6 on this mesh,
     # 3e-7 after one uniform refinement)
     assert high == pytest.approx(low, rel=1e-5)
-
-
-def test_error_measures_accept_values_at_rule_points():
-    mesh = make_lshape_mesh()
-    rng = np.random.default_rng(41)
-    u = P1Function(mesh, rng.normal(size=mesh.num_vertices))
-    values = _smooth_exact_grad(RULE_ORDER4.points(mesh.triangle_coords))
-    assert (rho_F_sq(u, values, p=1.6)
-            == rho_F_sq(u, _smooth_exact_grad, p=1.6))
-    density = PPowerDensity(1.6)
-    assert (rho_I_sq(u, values, density)
-            == rho_I_sq(u, _smooth_exact_grad, density))
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +549,8 @@ def test_gap_dominates_overkill_error_with_convexity_constant():
     assert rep.converged
     u_tilde = prob.function(state)
     cr = DiscreteProblem(coarse, P2, f_coarse, space="cr")
-    cr_state, _ = newton_solve(cr, tol_abs=1e-12)
-    z = marini_reconstruct(cr.function(cr_state), P2, f_coarse)
+    _, cr_rep = newton_solve(cr, tol_abs=1e-12)
+    z = marini_reconstruct(cr_rep.stress, f_coarse)
 
     n_fine = 64
     fine = make_square_mesh(n_fine)
@@ -561,7 +559,7 @@ def test_gap_dominates_overkill_error_with_convexity_constant():
     fine_state, _ = newton_solve(fine_prob, tol_abs=1e-12)
     exact_grad = _overkill_gradient_lookup(fine, fine_prob.function(fine_state),
                                            n_fine)
-    rho = rho_F_sq(u_tilde, exact_grad, p=2.0)
+    rho = rho_F_sq(u_tilde, _at_points(exact_grad, coarse), p=2.0)
     bd = eta_hat_sq(u_tilde, z, P2, f_coarse)
     assert np.all(bd.eta_A_sq >= 0.0)
     assert rho <= 2.0 * bd.eta_hat_sq_total

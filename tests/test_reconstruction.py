@@ -43,7 +43,7 @@ def test_exactness_holds_for_arbitrary_states():
     mesh, f_h = _lshape_load(level=1)
     density = PPowerDensity(1.6)
     u = CrFunction(mesh, rng.normal(size=mesh.num_sides))
-    z = marini_reconstruct(u, density, f_h)
+    z = marini_reconstruct(density.dphi(u.gradients()), f_h)
     assert np.max(np.abs(z.divergence().values + f_h.values)) == 0.0
     assert np.max(np.abs(z.element_means() - density.dphi(u.gradients()))) == 0.0
     # ...while the normal components genuinely disagree across sides
@@ -58,7 +58,7 @@ def test_one_element_hand_check():
     # 1.75 on the sorted sides (0,1), (0,2), (1,2).
     f_h = PwConstant(REF, np.array([2.0]))
     u = CrFunction(REF, np.array([0.75, 1.25, 1.75]))
-    z = marini_reconstruct(u, PPowerDensity(2.0), f_h)
+    z = marini_reconstruct(PPowerDensity(2.0).dphi(u.gradients()), f_h)
     assert np.allclose(u.gradients(), [[1.0, 2.0]], atol=1e-14)
     assert np.allclose(z.element_means(), [[1.0, 2.0]], atol=1e-14)
     assert np.allclose(z.divergence().values, [-2.0], atol=1e-14)
@@ -79,7 +79,7 @@ def test_smaller_index_extraction_and_mismatch_sign():
     rng = np.random.default_rng(3)
     u = CrFunction(mesh, rng.normal(size=mesh.num_sides))
     f_h = PwConstant(mesh, np.zeros(2))
-    z = marini_reconstruct(u, PPowerDensity(2.0), f_h)
+    z = marini_reconstruct(PPowerDensity(2.0).dphi(u.gradients()), f_h)
     grads = u.gradients()
     diag = int(np.flatnonzero(mesh.side_tris[:, 1] >= 0)[0])
     n = mesh.side_normals[diag]
@@ -98,7 +98,7 @@ def test_extraction_bit_identical_to_reference_loop():
     mesh, f_h = _lshape_load(level=1)
     f_h = PwConstant(mesh, rng.normal(size=mesh.num_triangles))
     u = CrFunction(mesh, rng.normal(size=mesh.num_sides))
-    z = marini_reconstruct(u, PPowerDensity(1.6), f_h)
+    z = marini_reconstruct(PPowerDensity(1.6).dphi(u.gradients()), f_h)
     a, b = z.element_linear()
     rel = mesh.side_midpoints[mesh.tri_sides] - mesh.barycenters[:, None, :]
     cand = np.einsum("tjd,tjd->tj", a[:, None, :] + b[:, None, None] * rel,
@@ -123,7 +123,7 @@ def test_converged_minimizer_has_continuous_normal_flux():
     mesh, f_h = _lshape_load()
     density = PPowerDensity(1.6)
     u, _ = _solve(mesh, f_h, 1.6)
-    z = marini_reconstruct(u, density, f_h)
+    z = marini_reconstruct(density.dphi(u.gradients()), f_h)
     report = verify_discrete_optimality(u, z, density, f_h)
     # normal-flux jump within 10x the solver tolerance
     assert report.max_flux_jump <= 10 * 1e-10
@@ -136,7 +136,7 @@ def test_optimality_report_flags_perturbation():
     mesh, f_h = _lshape_load()
     density = PPowerDensity(2.0)
     u, prob = _solve(mesh, f_h, 2.0)
-    z = marini_reconstruct(u, density, f_h)
+    z = marini_reconstruct(density.dphi(u.gradients()), f_h)
     base = verify_discrete_optimality(u, z, density, f_h)
     assert base.max_fenchel_young_residual <= 1e-14
 
@@ -155,7 +155,7 @@ def test_gap_vanishes_at_minimizer():
         mesh, f_h = _lshape_load()
         density = PPowerDensity(p)
         u, prob = _solve(mesh, f_h, p)
-        z = marini_reconstruct(u, density, f_h)
+        z = marini_reconstruct(density.dphi(u.gradients()), f_h)
         report = verify_discrete_optimality(u, z, density, f_h)
         assert abs(report.gap) <= 1e-8 * (abs(report.primal)
                                           + abs(report.dual))
@@ -165,7 +165,7 @@ def test_gap_infinite_off_the_constraint_set():
     mesh, f_h = _lshape_load()
     density = PPowerDensity(2.0)
     u, _ = _solve(mesh, f_h, 2.0)
-    z = marini_reconstruct(u, density, f_h)
+    z = marini_reconstruct(density.dphi(u.gradients()), f_h)
     scaled = Rt0Field(mesh, 1.1 * z.coeffs)
     assert verify_discrete_optimality(u, scaled, density, f_h).gap == np.inf
 
@@ -176,7 +176,7 @@ def test_gap_accepts_glued_field_at_minimizer():
     mesh, f_h = _lshape_load()
     density = PPowerDensity(2.0)
     u, _ = _solve(mesh, f_h, 2.0, tol=1e-12)
-    z = marini_reconstruct(u, density, f_h)
+    z = marini_reconstruct(density.dphi(u.gradients()), f_h)
     glued = Rt0Field(mesh, z.coeffs.copy())
     gap = verify_discrete_optimality(u, glued, density, f_h).gap
     assert np.isfinite(gap)
@@ -187,7 +187,7 @@ def test_report_energies_and_weak_duality():
     mesh, f_h = _lshape_load()
     density = PPowerDensity(1.6)
     u, _ = _solve(mesh, f_h, 1.6)
-    z = marini_reconstruct(u, density, f_h)
+    z = marini_reconstruct(density.dphi(u.gradients()), f_h)
     report = verify_discrete_optimality(u, z, density, f_h)
     assert report.gap == report.primal - report.dual
     scale = abs(report.primal) + abs(report.dual)
@@ -201,11 +201,20 @@ def test_report_energies_and_weak_duality():
 
 def test_marini_field_is_rt0_subclass():
     mesh, f_h = _lshape_load()
-    u = CrFunction(mesh, np.zeros(mesh.num_sides))
-    z = marini_reconstruct(u, PPowerDensity(2.0), f_h)
+    z = marini_reconstruct(np.zeros((mesh.num_triangles, 2)), f_h)
     assert isinstance(z, MariniField)
     assert isinstance(z, Rt0Field)
+    assert z.mesh is f_h.mesh
     assert z.coeffs.shape == (mesh.num_sides,)
+
+
+def test_stress_of_another_shape_is_rejected():
+    # one stress vector per element of the load's mesh, nothing else
+    mesh, f_h = _lshape_load()
+    nt = mesh.num_triangles
+    for shape in [(nt,), (nt, 3), (nt + 1, 2), (nt, 2, 1), (2 * nt,)]:
+        with pytest.raises(ValueError, match="stress"):
+            marini_reconstruct(np.zeros(shape), f_h)
 
 
 _BASES = (make_lshape_mesh(), make_square_mesh(4))
@@ -268,7 +277,7 @@ def test_capped_solve_keeps_the_bracket(mesh, density, solver, max_iter,
     u, report = solve_problem(prob, solver=solver, max_iter=max_iter,
                               **options)
     u_cr = CrFunction(mesh, u)
-    z = marini_reconstruct(u_cr, density, f_h, stress=report.stress)
+    z = marini_reconstruct(report.stress, f_h)
     candidate = node_average(u_cr, dirichlet_values=gv)
     trace = candidate.values[mesh.sides].mean(axis=1)
     dual = dual_energy(z, density, f_h, boundary_values=trace)
@@ -300,7 +309,6 @@ def test_one_step_from_a_flat_start_gives_a_feasible_flux(solver):
     density = PPowerDensity(1.1)
     prob = DiscreteProblem(mesh, density, f_h, space="cr",
                            dirichlet=mesh.side_midpoints[:, 1])
-    u, report = solve_problem(prob, solver=solver, max_iter=1)
-    z = marini_reconstruct(prob.function(u), density, f_h,
-                           stress=report.stress)
+    _, report = solve_problem(prob, solver=solver, max_iter=1)
+    z = marini_reconstruct(report.stress, f_h)
     assert _feasible(z, f_h)

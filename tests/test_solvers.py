@@ -304,8 +304,7 @@ def test_kept_factor_step_hands_back_a_feasible_flux(monkeypatch):
     u, rep = newton_solve(prob, u0=u0, tol_abs=1e-9, tol_rel=0.0,
                           max_iter=last + 1)
     assert rep.iterations == len(kept) == last + 1 and kept[-1]
-    u_cr = prob.function(u)
-    z = marini_reconstruct(u_cr, prob.density, prob.load, stress=rep.stress)
+    z = marini_reconstruct(rep.stress, prob.load)
     assert np.max(np.abs(z.mismatch)) <= 1e-10 * np.max(np.abs(z.coeffs))
     assert _feasible(z, prob.load)
     dual = dual_energy(z, prob.density, prob.load, boundary_values=u,
@@ -834,7 +833,7 @@ def test_flow_energy_monotone_and_stops():
     assert np.all(diffs <= 1e-14 * np.maximum(1.0, np.abs(rep.energies[:-1])))
 
 
-def test_p1_kacanov_stops_when_a_step_barely_lowers_the_gap(monkeypatch):
+def test_p1_flow_stops_when_a_step_barely_lowers_the_gap(monkeypatch):
     # a once-refined design level with homogeneous data: the CR flow's
     # flux and its discrete dual value (no boundary pairing)
     mesh = uniform_refine(make_lshape_mesh(), 1)
@@ -843,7 +842,7 @@ def test_p1_kacanov_stops_when_a_step_barely_lowers_the_gap(monkeypatch):
     cr = DiscreteProblem(mesh, density, f_h, space="cr")
     u, cr_rep = gradient_flow_solve(cr)
     u_cr = cr.function(u)
-    z = marini_reconstruct(u_cr, density, f_h, stress=cr_rep.stress)
+    z = marini_reconstruct(cr_rep.stress, f_h)
     dual = dual_energy(z, density, f_h, quadrature="mean")
     assert np.isfinite(dual)
     passed = {}
@@ -881,13 +880,33 @@ def test_p1_flow_needs_a_stop_rule():
         gradient_flow_solve(prob)
 
 
-def test_infinite_dual_never_stops_the_p1_kacanov_solve():
+def test_infinite_dual_never_stops_the_p1_flow_solve():
     mesh = make_lshape_mesh()
     f_h = PwConstant(mesh, np.ones(mesh.num_triangles))
     prob = DiscreteProblem(mesh, OptimalDesignDensity(), f_h, space="p1")
     _, rep = gradient_flow_solve(prob, dual=-np.inf, max_iter=5)
     assert not rep.converged and rep.iterations == 5
     assert rep.stop_reason == "iteration limit reached"
+
+
+def test_flow_computes_each_step_stress_once():
+    # one tensor per step for its Hessian and one for its stress: the last
+    # step's stress serves both the gap stop and the report
+    mesh = uniform_refine(make_lshape_mesh(), 1)
+    f_h = PwConstant(mesh, np.ones(mesh.num_triangles))
+    density = OptimalDesignDensity()
+    tensor, calls = density.d2phi, []
+
+    def counted(*args):
+        calls.append(args)
+        return tensor(*args)
+
+    density.d2phi = counted
+    prob = DiscreteProblem(mesh, density, f_h, space="cr")
+    _, rep = gradient_flow_solve(prob)
+    assert rep.converged and rep.stress is not None
+    assert rep.factorizations == rep.iterations >= 2
+    assert len(calls) == 2 * rep.iterations
 
 
 def test_flow_ignores_tau():
@@ -900,7 +919,7 @@ def test_flow_ignores_tau():
     assert rep.iterations == rep_tau.iterations
 
 
-def test_kacanov_stops_on_guaranteed_discrete_gap(monkeypatch):
+def test_flow_stops_on_guaranteed_discrete_gap(monkeypatch):
     mesh = uniform_refine(make_lshape_mesh(), 1)
     f_h = PwConstant(mesh, np.ones(mesh.num_triangles))
     density = OptimalDesignDensity()
@@ -909,7 +928,7 @@ def test_kacanov_stops_on_guaranteed_discrete_gap(monkeypatch):
     assert rep.converged
     assert rep.stop_reason == "discrete gap below tolerance"
     u_cr = prob.function(u)
-    z = marini_reconstruct(u_cr, density, f_h, stress=rep.stress)
+    z = marini_reconstruct(rep.stress, f_h)
     eta_lin = rep.energy - dual_energy(z, density, f_h, boundary_values=u,
                                        quadrature="mean")
     candidate = node_average(u_cr, dirichlet_values=np.zeros(
@@ -929,7 +948,7 @@ def test_kacanov_stops_on_guaranteed_discrete_gap(monkeypatch):
     assert rep_short.stop_reason == "iteration limit reached"
 
 
-def test_infeasible_flux_never_stops_the_kacanov_solve(monkeypatch):
+def test_infeasible_flux_never_stops_the_flow_solve(monkeypatch):
     # the flux of a stress that solves no linear CR problem fails the
     # feasibility test, so its dual value is -inf; the solve must not read
     # that as converged
@@ -939,8 +958,8 @@ def test_infeasible_flux_never_stops_the_kacanov_solve(monkeypatch):
     reconstruct, dual_value, duals = solvers.marini_reconstruct, \
         solvers.dual_energy, []
 
-    def scaled_stress(u, density, load, stress):
-        return reconstruct(u, density, load, stress=1.5 * stress)
+    def scaled_stress(stress, load):
+        return reconstruct(1.5 * stress, load)
 
     def record(*args, **kwargs):
         duals.append(dual_value(*args, **kwargs))
@@ -968,12 +987,12 @@ def test_single_step_flux_is_normal_continuous(solver, density):
     u, rep = solve_problem(prob, solver=solver,
                            u0=rng.normal(size=mesh.num_sides), max_iter=1)
     assert rep.iterations == 1 and not rep.converged
-    u_cr = prob.function(u)
-    z = marini_reconstruct(u_cr, density, f_h, stress=rep.stress)
+    z = marini_reconstruct(rep.stress, f_h)
     assert np.max(np.abs(z.mismatch)) <= 1e-10 * np.max(np.abs(z.coeffs))
     assert _feasible(z, f_h)
     # the gradient stress of the same iterate is far from continuous
-    assert not _feasible(marini_reconstruct(u_cr, density, f_h), f_h)
+    gradient_stress = density.dphi(prob.function(u).gradients())
+    assert not _feasible(marini_reconstruct(gradient_stress, f_h), f_h)
 
 
 def test_newton_start_at_solution_still_hands_back_a_flux():
@@ -985,7 +1004,7 @@ def test_newton_start_at_solution_still_hands_back_a_flux():
     u_again, rep = newton_solve(prob, u0=u, tol_abs=1e-6)
     assert rep.converged and rep.iterations == 0
     assert np.array_equal(u_again, u)
-    z = marini_reconstruct(prob.function(u), density, f_h, stress=rep.stress)
+    z = marini_reconstruct(rep.stress, f_h)
     assert _feasible(z, f_h)
 
 
